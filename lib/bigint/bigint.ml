@@ -243,19 +243,123 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* [bits_at a pos width] is the [width]-bit field of [a] starting at bit
+   [pos], for [width <= limb_bits]; bits past the top read as zero. *)
+let bits_at a pos width =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let la = Array.length a in
+  let lo = if limb < la then a.(limb) lsr off else 0 in
+  let hi = if off + width > limb_bits && limb + 1 < la then a.(limb + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl width) - 1)
+
+(* Binary square-and-multiply with a full division per step: the path for
+   even moduli, where Montgomery reduction does not apply. *)
+let modpow_plain b exponent modulus =
+  let b = ref (rem b modulus) in
+  let result = ref one in
+  let bits = bit_length exponent in
+  for i = 0 to bits - 1 do
+    if testbit exponent i then result := rem (mul !result !b) modulus;
+    if i < bits - 1 then b := rem (mul !b !b) modulus
+  done;
+  !result
+
+(* Montgomery arithmetic modulo an odd [m] of [n] limbs, with R = 2^(26 n).
+   Operands are fixed-width buffers of exactly [n] limbs holding values
+   below [m]. *)
+
+(* -m^-1 mod 2^26 by Newton iteration: an odd [m0] is its own inverse to
+   3 bits, and each step doubles the correct bits. Products wrap modulo
+   2^63, which keeps the low 26 bits exact. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x))
+  done;
+  -(!x) land limb_mask
+
+(* [mont_mul m minv t a b dst] stores [a * b * R^-1 mod m] in [dst], using
+   [t] (n + 1 limbs) as scratch; [dst] may alias [a] or [b]. This is the
+   fused CIOS loop: 26-bit limbs keep t[j] + a_i*b[j] + u*m[j] + carry
+   below 2^54, so one carry covers both the product and the reduction and
+   each outer step makes a single pass over [t]. *)
+let mont_mul (m : int array) minv (t : int array) (a : int array) (b : int array) (dst : int array) =
+  let n = Array.length m in
+  for j = 0 to n do
+    Array.unsafe_set t j 0
+  done;
+  let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
+  for i = 0 to n - 1 do
+    let ai = Array.unsafe_get a i in
+    let s = Array.unsafe_get t 0 + (ai * b0) in
+    let u = ((s land limb_mask) * minv) land limb_mask in
+    let carry = ref ((s + (u * m0)) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + (u * Array.unsafe_get m j) + !carry in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
+      carry := s lsr limb_bits
+    done;
+    let s = Array.unsafe_get t n + !carry in
+    Array.unsafe_set t (n - 1) (s land limb_mask);
+    Array.unsafe_set t n (s lsr limb_bits)
+  done;
+  (* Here t < 2m, so one conditional subtraction fully reduces it. *)
+  let i = ref (n - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do
+    decr i
+  done;
+  if t.(n) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      dst.(i) <- d land limb_mask;
+      borrow := -(d asr limb_bits)
+    done
+  end
+  else Array.blit t 0 dst 0 n
+
+(* Window width for an exponent of [bits] bits. Small exponents (65537
+   when verifying) use plain binary, where a table would not pay off. *)
+let window_bits bits = if bits <= 24 then 1 else if bits <= 80 then 3 else if bits <= 240 then 4 else if bits <= 672 then 5 else 6
+
+(* Left-to-right fixed-window exponentiation in Montgomery form. *)
+let modpow_odd b exponent m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let t = Array.make (n + 1) 0 in
+  let fixed x =
+    let r = Array.make n 0 in
+    Array.blit x 0 r 0 (Array.length x);
+    r
+  in
+  let ebits = bit_length exponent in
+  let w = window_bits ebits in
+  (* table.(k) = b^k * R mod m; entry 0 is never read. *)
+  let table = Array.make (1 lsl w) [||] in
+  table.(1) <- fixed (rem (shift_left b (n * limb_bits)) m);
+  for k = 2 to (1 lsl w) - 1 do
+    table.(k) <- Array.make n 0;
+    mont_mul m minv t table.(k - 1) table.(1) table.(k)
+  done;
+  let windows = (ebits + w - 1) / w in
+  let acc = Array.copy table.(bits_at exponent ((windows - 1) * w) w) in
+  for i = windows - 2 downto 0 do
+    for _ = 1 to w do
+      mont_mul m minv t acc acc acc
+    done;
+    let d = bits_at exponent (i * w) w in
+    if d <> 0 then mont_mul m minv t acc table.(d) acc
+  done;
+  (* Multiplying by a plain 1 leaves Montgomery form. *)
+  mont_mul m minv t acc (fixed one) acc;
+  normalize acc
+
 let modpow ~base:b ~exponent ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
-  else begin
-    let b = ref (rem b modulus) in
-    let result = ref one in
-    let bits = bit_length exponent in
-    for i = 0 to bits - 1 do
-      if testbit exponent i then result := rem (mul !result !b) modulus;
-      if i < bits - 1 then b := rem (mul !b !b) modulus
-    done;
-    !result
-  end
+  else if is_zero exponent then one
+  else if testbit modulus 0 then modpow_odd b exponent modulus
+  else modpow_plain b exponent modulus
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -360,48 +464,49 @@ let hex_digit c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> invalid_arg "Bigint.of_hex: bad digit"
 
+(* [pack ~width count digit] builds the number whose [i]-th least
+   significant [width]-bit digit is [digit i], packing bits straight into
+   limbs. *)
+let pack ~width count digit =
+  let r = Array.make (((width * count) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and acc_bits = ref 0 and k = ref 0 in
+  for i = 0 to count - 1 do
+    acc := !acc lor (digit i lsl !acc_bits);
+    acc_bits := !acc_bits + width;
+    if !acc_bits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      acc_bits := !acc_bits - limb_bits
+    end
+  done;
+  if !acc_bits > 0 then r.(!k) <- !acc;
+  normalize r
+
 let of_hex s =
   let s = if String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then String.sub s 2 (String.length s - 2) else s in
   if s = "" then invalid_arg "Bigint.of_hex: empty";
-  let acc = ref zero in
-  let sixteen = of_int 16 in
-  String.iter (fun c -> acc := add (mul !acc sixteen) (of_int (hex_digit c))) s;
-  !acc
+  let len = String.length s in
+  pack ~width:4 len (fun i -> hex_digit s.[len - 1 - i])
 
 let to_hex a =
   if is_zero a then "0"
   else begin
-    let buf = Buffer.create 32 in
-    let bits = bit_length a in
-    let nibbles = (bits + 3) / 4 in
-    for i = nibbles - 1 downto 0 do
-      let v =
-        (if testbit a ((i * 4) + 3) then 8 else 0)
-        + (if testbit a ((i * 4) + 2) then 4 else 0)
-        + (if testbit a ((i * 4) + 1) then 2 else 0)
-        + if testbit a (i * 4) then 1 else 0
-      in
-      Buffer.add_char buf "0123456789abcdef".[v]
-    done;
-    Buffer.contents buf
+    let nibbles = (bit_length a + 3) / 4 in
+    String.init nibbles (fun i -> "0123456789abcdef".[bits_at a ((nibbles - 1 - i) * 4) 4])
   end
 
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  pack ~width:8 len (fun i -> Char.code s.[len - 1 - i])
 
 let to_bytes_be ~len a =
-  if bit_length a > len * 8 then invalid_arg "Bigint.to_bytes_be: too short";
+  let bits = bit_length a in
+  if bits > len * 8 then invalid_arg "Bigint.to_bytes_be: too short";
   let b = Bytes.make len '\000' in
-  let rec go a i =
-    if not (is_zero a) then begin
-      let q, r = divmod a (of_int 256) in
-      Bytes.set b i (Char.chr (match to_int r with Some v -> v | None -> assert false));
-      go q (i - 1)
-    end
-  in
-  go a (len - 1);
+  for k = 0 to ((bits + 7) / 8) - 1 do
+    Bytes.set b (len - 1 - k) (Char.chr (bits_at a (k * 8) 8))
+  done;
   Bytes.to_string b
 
 let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)

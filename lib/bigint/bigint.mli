@@ -20,15 +20,16 @@ val of_int : int -> t
 (** [to_int t] is [Some n] when [t] fits in an OCaml [int]. *)
 val to_int : t -> int option
 
-(** Hex I/O. [of_hex] accepts upper/lower case and an optional ["0x"]
-    prefix; raises [Invalid_argument] on other characters. [to_hex] emits
-    lower case without prefix; [to_hex zero = "0"]. *)
+(** Hex I/O, linear in the number of digits. [of_hex] accepts upper/lower
+    case and an optional ["0x"] prefix; raises [Invalid_argument] on other
+    characters or an empty digit string. [to_hex] emits lower case without
+    prefix; [to_hex zero = "0"]. *)
 val of_hex : string -> t
 val to_hex : t -> string
 
-(** Big-endian byte-string conversions. [to_bytes_be ~len t] left-pads with
-    zero bytes; raises [Invalid_argument] if [t] needs more than [len]
-    bytes. *)
+(** Big-endian byte-string conversions, linear in the length.
+    [to_bytes_be ~len t] left-pads with zero bytes; raises
+    [Invalid_argument] if [t] needs more than [len] bytes. *)
 val of_bytes_be : string -> t
 val to_bytes_be : len:int -> t -> string
 
@@ -58,9 +59,19 @@ val rem : t -> t -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
-(** [modpow ~base ~exponent ~modulus] computes [base^exponent mod modulus]
-    by square-and-multiply. Raises [Division_by_zero] if [modulus] is
-    zero. *)
+(** [modpow ~base ~exponent ~modulus] computes [base^exponent mod modulus].
+    Raises [Division_by_zero] if [modulus] is zero.
+
+    An odd modulus takes Montgomery multiplication on preallocated
+    fixed-width limb buffers with left-to-right fixed-window
+    exponentiation; the window widens with the exponent's bit length
+    (width 1, plain binary, up to 24 bits). An even modulus falls back to
+    binary square-and-multiply with a full division per step.
+
+    Not constant-time: running time and memory access follow the exponent
+    bits and the operands. The simulator has no side-channel model, so
+    this is not a concern here, but the function is not fit for real
+    secrets. *)
 val modpow : base:t -> exponent:t -> modulus:t -> t
 
 val gcd : t -> t -> t

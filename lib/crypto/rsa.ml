@@ -1,5 +1,5 @@
 type public = { n : Bigint.t; e : Bigint.t }
-type keypair = { pub : public; d : Bigint.t }
+type keypair = { pub : public; d : Bigint.t; p : Bigint.t; q : Bigint.t; dp : Bigint.t; dq : Bigint.t; qinv : Bigint.t }
 
 let e_65537 = Bigint.of_int 65537
 
@@ -12,10 +12,13 @@ let generate state ~bits =
     if Bigint.equal p q then go ()
     else begin
       let n = Bigint.mul p q in
-      let phi = Bigint.mul (Bigint.sub p Bigint.one) (Bigint.sub q Bigint.one) in
-      match Bigint.modinv e_65537 phi with
+      let p1 = Bigint.sub p Bigint.one and q1 = Bigint.sub q Bigint.one in
+      match Bigint.modinv e_65537 (Bigint.mul p1 q1) with
       | None -> go ()
-      | Some d -> { pub = { n; e = e_65537 }; d }
+      | Some d ->
+        (* p and q are distinct primes, so q is invertible modulo p. *)
+        let qinv = Option.get (Bigint.modinv q p) in
+        { pub = { n; e = e_65537 }; d; p; q; dp = Bigint.rem d p1; dq = Bigint.rem d q1; qinv }
     end
   in
   go ()
@@ -33,8 +36,11 @@ let sign key msg =
   let len = modulus_bytes key.pub in
   let em = encode_digest ~len (Sha256.digest msg) in
   let m = Bigint.of_bytes_be em in
-  let s = Bigint.modpow ~base:m ~exponent:key.d ~modulus:key.pub.n in
-  Bigint.to_bytes_be ~len s
+  (* CRT (Garner): s = m2 + q * (qinv * (m1 - m2) mod p) is exactly m^d mod n. *)
+  let m1 = Bigint.modpow ~base:m ~exponent:key.dp ~modulus:key.p in
+  let m2 = Bigint.modpow ~base:m ~exponent:key.dq ~modulus:key.q in
+  let h = Bigint.rem (Bigint.mul key.qinv (Bigint.sub (Bigint.add m1 key.p) (Bigint.rem m2 key.p))) key.p in
+  Bigint.to_bytes_be ~len (Bigint.add m2 (Bigint.mul h key.q))
 
 let verify pub ~msg ~signature =
   let len = modulus_bytes pub in

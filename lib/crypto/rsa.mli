@@ -7,14 +7,28 @@
     both, plus a minimal certificate type for the vendor chain. *)
 
 type public = { n : Bigint.t; e : Bigint.t }
-type keypair = { pub : public; d : Bigint.t }
+
+(** A private key. Beside the exponent [d] it carries the CRT form that
+    {!sign} uses: the primes [p] and [q] ([n = p * q], [p] drawn first),
+    [dp = d mod (p - 1)], [dq = d mod (q - 1)] and [qinv = q^-1 mod p]. *)
+type keypair = {
+  pub : public;
+  d : Bigint.t;
+  p : Bigint.t;
+  q : Bigint.t;
+  dp : Bigint.t;
+  dq : Bigint.t;
+  qinv : Bigint.t;
+}
 
 (** [generate state ~bits] builds an RSA key with a [bits]-bit modulus and
     public exponent 65537. *)
 val generate : Random.State.t -> bits:int -> keypair
 
 (** [sign key msg] signs SHA-256([msg]) under PKCS#1-style fixed padding.
-    The result is [modulus_bytes] long. *)
+    The result is [modulus_bytes] long. It is computed with the CRT fields
+    (two half-size exponentiations and Garner's recombination) and is
+    byte-identical to [m^d mod n]. *)
 val sign : keypair -> string -> string
 
 val verify : public -> msg:string -> signature:string -> bool

@@ -122,6 +122,129 @@ let prop_hex_roundtrip =
       let v = Bigint.of_bytes_be s in
       Bigint.equal v (Bigint.of_hex (Bigint.to_hex v)))
 
+(* ---------- differential properties against Bigint_ref ---------- *)
+
+let pow2 k = Bigint.shift_left Bigint.one k
+
+(* An odd number of exactly [bits] bits. *)
+let odd_of_width st bits =
+  let m = Bigint.add (pow2 (bits - 1)) (Bigint.random st ~bits:(bits - 1)) in
+  if Bigint.testbit m 0 then m else Bigint.add m Bigint.one
+
+(* Moduli up to ~1600 bits, weighted towards odd ones (the Montgomery
+   path), with the even, power-of-two, tiny, single-limb and all-ones-limb
+   edges mixed in. *)
+let gen_modulus st =
+  let bits = 1 + Random.State.int st 1600 in
+  match Random.State.int st 9 with
+  | 0 | 1 | 2 -> odd_of_width st bits
+  | 3 -> Bigint.shift_left (odd_of_width st bits) (1 + Random.State.int st 30)
+  | 4 -> pow2 (Random.State.int st 1600)
+  | 5 -> Bigint.of_int (1 + Random.State.int st 2)
+  | 6 -> Bigint.of_int (1 + Random.State.int st ((1 lsl 26) - 1))
+  | 7 -> Bigint.sub (pow2 (26 * (1 + Random.State.int st 61))) Bigint.one
+  | _ -> Bigint.sub (pow2 bits) Bigint.one
+
+let gen_base m st =
+  let mbits = Bigint.bit_length m in
+  match Random.State.int st 5 with
+  | 0 -> Bigint.zero
+  | 1 -> Bigint.add m (Bigint.random st ~bits:(Random.State.int st (mbits + 64)))
+  | 2 -> Bigint.random st ~bits:(Random.State.int st 1700)
+  | _ -> Bigint.rem (Bigint.random st ~bits:(mbits + 8)) m
+
+(* The reference costs one full multiply and division per exponent bit,
+   so exponents shrink as the modulus grows. *)
+let gen_exponent m st =
+  let mbits = Bigint.bit_length m in
+  let cap = if mbits > 800 then 800 else 1600 in
+  let bits = 1 + Random.State.int st cap in
+  match Random.State.int st 6 with
+  | 0 -> Bigint.zero
+  | 1 -> Bigint.one
+  | 2 ->
+    (* A long run of zeros between a few high and a few low bits. *)
+    let low = Bigint.random st ~bits:(Random.State.int st 8) in
+    Bigint.add (Bigint.shift_left (Bigint.random st ~bits:4) (bits - 1)) (Bigint.add low (pow2 (bits - 1)))
+  | 3 -> Bigint.sub (pow2 bits) Bigint.one
+  | _ -> Bigint.random st ~bits
+
+let arb_modpow =
+  let gen st =
+    let m = gen_modulus st in
+    (gen_base m st, gen_exponent m st, m)
+  in
+  QCheck.make gen ~print:(fun (b, e, m) ->
+      Printf.sprintf "base=%s exponent=%s modulus=%s" (Bigint.to_hex b) (Bigint.to_hex e) (Bigint.to_hex m))
+
+let prop_modpow_matches_reference =
+  QCheck.Test.make ~name:"modpow matches square-and-multiply reference" ~count:300 arb_modpow (fun (base, exponent, modulus) ->
+      Bigint.equal (Bigint.modpow ~base ~exponent ~modulus) (Bigint_ref.modpow ~base ~exponent ~modulus))
+
+let test_modpow_edges () =
+  let check msg base exponent modulus =
+    Alcotest.(check string) msg
+      (Bigint.to_hex (Bigint_ref.modpow ~base ~exponent ~modulus))
+      (Bigint.to_hex (Bigint.modpow ~base ~exponent ~modulus))
+  in
+  let p = Crypto.Dh.modp_1536.p in
+  check "mod 1" (bi 5) (bi 3) Bigint.one;
+  check "0^0 mod 2" Bigint.zero Bigint.zero Bigint.two;
+  check "0^0 mod odd" Bigint.zero Bigint.zero (bi 7);
+  check "0^e mod odd" Bigint.zero (bi 9) p;
+  check "base = modulus" p (bi 3) p;
+  check "base > modulus" (Bigint.add (Bigint.mul p p) (bi 3)) (bi 65537) p;
+  check "x^1" (bi 123456789) Bigint.one p;
+  check "1536-bit full exponent" Bigint.two (Bigint.sub p Bigint.two) p;
+  check "even 1536-bit modulus" (bi 3) (Bigint.of_hex "ffffffff00000000ffff") (Bigint.add p Bigint.one);
+  Alcotest.check_raises "modulus 0" Division_by_zero (fun () ->
+      ignore (Bigint.modpow ~base:Bigint.one ~exponent:Bigint.one ~modulus:Bigint.zero));
+  (* Fermat on the 1536-bit prime: 2^(p-1) = 1. *)
+  Alcotest.(check bool) "fermat 1536" true
+    (Bigint.equal Bigint.one (Bigint.modpow ~base:Bigint.two ~exponent:(Bigint.sub p Bigint.one) ~modulus:p))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+let prop_of_bytes_matches_reference =
+  QCheck.Test.make ~name:"of_bytes_be matches reference" ~count:300 (QCheck.string_of_size (QCheck.Gen.int_range 0 300))
+    (fun s -> Bigint.equal (Bigint.of_bytes_be s) (Bigint_ref.of_bytes_be s))
+
+let prop_to_bytes_matches_reference =
+  QCheck.Test.make ~name:"to_bytes_be matches reference" ~count:300
+    (QCheck.pair (QCheck.string_of_size (QCheck.Gen.int_range 0 300)) (QCheck.int_range (-4) 8))
+    (fun (s, extra) ->
+      let v = Bigint.of_bytes_be s in
+      let len = max 0 (((Bigint.bit_length v + 7) / 8) + extra) in
+      outcome (fun () -> Bigint.to_bytes_be ~len v) = outcome (fun () -> Bigint_ref.to_bytes_be ~len v))
+
+(* Hex strings of mixed case, sometimes prefixed, sometimes with a bad
+   digit or empty. *)
+let arb_hex =
+  let digits = "0123456789abcdefABCDEF" in
+  let gen st =
+    let n = Random.State.int st 300 in
+    let body = String.init n (fun _ -> digits.[Random.State.int st (String.length digits)]) in
+    let body =
+      if n > 0 && Random.State.int st 8 = 0 then begin
+        let bad = Random.State.int st n in
+        String.mapi (fun i c -> if i = bad then 'g' else c) body
+      end
+      else body
+    in
+    if Random.State.bool st then "0x" ^ body else body
+  in
+  QCheck.make gen ~print:Fun.id
+
+let prop_of_hex_matches_reference =
+  QCheck.Test.make ~name:"of_hex matches reference" ~count:300 arb_hex (fun s ->
+      let norm r = Result.map Bigint.to_hex r in
+      norm (outcome (fun () -> Bigint.of_hex s)) = norm (outcome (fun () -> Bigint_ref.of_hex s)))
+
+let prop_to_hex_matches_reference =
+  QCheck.Test.make ~name:"to_hex matches reference" ~count:300 (QCheck.string_of_size (QCheck.Gen.int_range 0 300)) (fun s ->
+      let v = Bigint.of_bytes_be s in
+      String.equal (Bigint.to_hex v) (Bigint_ref.to_hex v))
+
 let suite =
   [
     Alcotest.test_case "of_int/to_int roundtrip" `Quick test_of_int_roundtrip;
@@ -134,9 +257,15 @@ let suite =
     Alcotest.test_case "gcd/modinv" `Quick test_gcd_modinv;
     Alcotest.test_case "primality" `Slow test_primality;
     Alcotest.test_case "byte conversion" `Quick test_bytes_roundtrip;
+    Alcotest.test_case "modpow edges vs reference" `Quick test_modpow_edges;
     QCheck_alcotest.to_alcotest prop_add_matches_int;
     QCheck_alcotest.to_alcotest prop_mul_matches_int;
     QCheck_alcotest.to_alcotest prop_divmod_matches_int;
     QCheck_alcotest.to_alcotest prop_divmod_reconstruct;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_modpow_matches_reference;
+    QCheck_alcotest.to_alcotest prop_of_bytes_matches_reference;
+    QCheck_alcotest.to_alcotest prop_to_bytes_matches_reference;
+    QCheck_alcotest.to_alcotest prop_of_hex_matches_reference;
+    QCheck_alcotest.to_alcotest prop_to_hex_matches_reference;
   ]

@@ -51,6 +51,49 @@ let test_rsa_sign_verify () =
   Bytes.set tampered 5 (Char.chr (Char.code (Bytes.get tampered 5) lxor 1));
   Alcotest.(check bool) "tampered sig" false (Crypto.Rsa.verify key.pub ~msg ~signature:(Bytes.to_string tampered))
 
+(* The padded digest [Rsa.sign] exponentiates: 0x00 0x01 FF.. 0x00 SHA-256. *)
+let encoded_digest ~len msg =
+  let digest = Crypto.Sha256.digest msg in
+  "\x00\x01" ^ String.make (len - String.length digest - 3) '\xff' ^ "\x00" ^ digest
+
+let test_rsa_crt () =
+  List.iter
+    (fun seed ->
+      let key = Crypto.Rsa.generate (Random.State.make [| seed |]) ~bits:512 in
+      let open Crypto.Rsa in
+      let tag what = Printf.sprintf "seed %d: %s" seed what in
+      let equal what a b = Alcotest.(check string) (tag what) (Bigint.to_hex a) (Bigint.to_hex b) in
+      let pred x = Bigint.sub x Bigint.one in
+      equal "n = p q" key.pub.n (Bigint.mul key.p key.q);
+      equal "dp = d mod (p-1)" key.dp (Bigint.rem key.d (pred key.p));
+      equal "dq = d mod (q-1)" key.dq (Bigint.rem key.d (pred key.q));
+      equal "qinv q = 1 mod p" Bigint.one (Bigint.rem (Bigint.mul key.qinv key.q) key.p);
+      Alcotest.(check bool) (tag "qinv < p") true (Bigint.compare key.qinv key.p < 0);
+      List.iter
+        (fun msg ->
+          let len = modulus_bytes key.pub in
+          let plain = Bigint.modpow ~base:(Bigint.of_bytes_be (encoded_digest ~len msg)) ~exponent:key.d ~modulus:key.pub.n in
+          let signature = sign key msg in
+          Alcotest.(check string) (tag "CRT = plain m^d mod n") (Bigint.to_bytes_be ~len plain) signature;
+          Alcotest.(check bool) (tag "verifies") true (verify key.pub ~msg ~signature))
+        [ ""; "attest"; String.make 300 'q' ])
+    [ 1; 2; 3; 5; 8 ]
+
+(* Recorded with plain m^d mod n signing: a change in keygen's random draw
+   order or in signature bytes moves these. *)
+let golden_n =
+  "10ae18abeeb8349b8f6c587f3d4df17e8af97b25b0c9d5f1a79eee041847f15b061cb5070e5dba8dfea1289d5c678d931bac6e9f57e17a1ed9734ab4e2c62207d"
+
+let golden_signature =
+  "00aa7004225fb58e78edac6bbd842a61d210b85d56e50389b9118d9596ff3a5bd36cffa1c599b1bd592793bec2a631e002b73ee019acadc1c25951278ba831da5b"
+
+let test_rsa_golden () =
+  let key = Crypto.Rsa.generate (Random.State.make [| 2024 |]) ~bits:512 in
+  Alcotest.(check string) "modulus" golden_n (Bigint.to_hex key.pub.n);
+  let signature = Crypto.Rsa.sign key "s-nic golden signature" in
+  let hex = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq signature))) in
+  Alcotest.(check string) "signature" golden_signature hex
+
 let test_certificate_chain () =
   let st = Random.State.make [| 13 |] in
   let vendor = Crypto.Rsa.generate st ~bits:512 in
@@ -94,6 +137,8 @@ let suite =
     Alcotest.test_case "dh agreement" `Quick test_dh_agreement;
     Alcotest.test_case "rsa sign/verify" `Slow test_rsa_sign_verify;
     Alcotest.test_case "certificate chain" `Slow test_certificate_chain;
+    Alcotest.test_case "rsa crt fields and signature" `Slow test_rsa_crt;
+    Alcotest.test_case "rsa golden key and signature" `Quick test_rsa_golden;
     Alcotest.test_case "cipher roundtrip" `Quick test_cipher_roundtrip;
     QCheck_alcotest.to_alcotest prop_cipher_roundtrip;
     QCheck_alcotest.to_alcotest prop_hmac_keyed;
