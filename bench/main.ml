@@ -51,6 +51,19 @@ let max_domains =
 let metrics : (string * float) list ref = ref []
 let metric name value = metrics := (name, value) :: !metrics
 
+(* Failed scenario gates, collected by the sections from the same check
+   functions the CLI exits on; --check reports them. *)
+let gate_failures : string list ref = ref []
+let gate section failures = gate_failures := !gate_failures @ List.map (( ^ ) (section ^ ": ")) failures
+
+(* [timed f] is [f ()] and the wall-clock seconds it took, read from the
+   monotonic clock. *)
+let timed f =
+  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
 let write_metrics () =
   match json_path with
   | None -> ()
@@ -296,9 +309,7 @@ let figure6 () =
     Memprof.Profiles.nfs;
   Printf.printf "paper anchors: LB sha 29.62ms, Mon sha 763.52ms, attest 5.6ms, Mon scrub ~54ms\n";
   let buf = String.make (8 lsl 20) 'x' in
-  let t0 = Sys.time () in
-  ignore (Crypto.Sha256.digest buf);
-  let dt = Sys.time () -. t0 in
+  let _, dt = timed (fun () -> Crypto.Sha256.digest buf) in
   Printf.printf "(our software SHA-256 on this host: %.0f MB/s; model uses the NIC engine's %.0f MB/s)\n" (8. /. dt)
     Memprof.Instr_latency.sha_mb_per_s
 
@@ -602,6 +613,7 @@ let chaos_section () =
         close_out oc;
         Printf.printf "(wrote seed-%d registry dump to %s)\n" seed path
       | _ -> ());
+      gate (Printf.sprintf "chaos.seed%d" seed) (Fleet.Chaos.check r);
       let q = Fleet.Chaos.quantile_str in
       Printf.printf "%-8d %8d %8s %8s %8s %9.4f %6d %7d %11d\n" seed r.Fleet.Chaos.total_faults
         (q r.Fleet.Chaos.recovery_p50) (q r.Fleet.Chaos.recovery_p90) (q r.Fleet.Chaos.recovery_p99)
@@ -761,11 +773,7 @@ let datapath_section () =
   let mb = 1 lsl 20 in
   let rng = Trace.Rng.create ~seed in
   let payload = String.init mb (fun _ -> Char.chr (Trace.Rng.int rng 256)) in
-  let secs f =
-    let t0 = Sys.time () in
-    f ();
-    Float.max (Sys.time () -. t0) 1e-6
-  in
+  let secs f = Float.max (snd (timed f)) 1e-6 in
   let m name v = metric ("datapath." ^ name) v in
 
   (* -- Physmem: 1 MB write+read, bulk vs one hash lookup per byte -- *)
@@ -958,32 +966,15 @@ let parse_flat_json path =
   done;
   List.rev !pairs
 
-(* Every key in the committed baseline must be present in this run and
-   within 25% of its baseline value; on top of that, sections carry
-   absolute floors: the DMA bulk path must beat the per-byte engine by
-   at least 10x, and the VF scheduler must hold its fairness bounds
-   (Jain index and worst share error vs configured weights). *)
-let check_tolerance = 0.25
+(* The regression gate.  Every baseline value is a count, digest or
+   simulated-cycle figure that repeats exactly for the pinned seed, so
+   every baseline key must be present in this run with the same value at
+   the %.6f precision --json writes.  The sections' scenario gates come
+   on top, and the two host-timing floors: the bulk DMA path must beat
+   the per-byte engine by >= 10x, and 4 domains must give >= 2.5x on a
+   host with >= 4 cores (a smaller host still checks the digests). *)
 let dma_speedup_floor = 10.
-let vf_jain_floor = 0.95
-let vf_err_ceiling_pct = 5.
-let qos_share_floor = 0.9
-let qos_victim_p99_ceiling = 2000.
-
-(* The par section's speedup floor only binds when the machine actually
-   has >= 4 cores (par.cores) — a 1-core container can still verify the
-   determinism digests, it just can't demonstrate scaling. *)
 let par_speedup_floor = 2.5
-
-(* S-NIC-mode benign goodput under a 10x SYN flood, relative to the
-   attack-free baseline pass. *)
-let ddos_goodput_floor = 0.8
-
-(* Goodput with the mid-run tracker-NIC kill + failover, relative to the
-   failure-free baseline pass of the same fabric run. *)
-let fabric_goodput_floor = 0.9
-
-let section_ran name = only = None || only = Some name
 
 let run_check () =
   match path_after "--check" with
@@ -991,135 +982,37 @@ let run_check () =
   | Some path ->
     let baseline = parse_flat_json path in
     let current = List.rev !metrics in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    List.iter
-      (fun (key, expect) ->
-        match List.assoc_opt key current with
-        | None -> fail "%s: present in baseline but missing from this run" key
-        | Some got ->
-          let rel = Float.abs (got -. expect) /. Float.max (Float.abs expect) 1e-9 in
-          if rel > check_tolerance then
-            fail "%s: %.6f vs baseline %.6f (%.1f%% off, tolerance %.0f%%)" key got expect (100. *. rel)
-              (100. *. check_tolerance))
-      baseline;
-    (if section_ran "datapath" then
-       match List.assoc_opt "datapath.dma.speedup_x" current with
-       | Some s when s < dma_speedup_floor ->
-         fail "datapath.dma.speedup_x: %.1fx is below the %.0fx floor" s dma_speedup_floor
-       | Some _ -> ()
-       | None -> fail "datapath.dma.speedup_x: missing from this run");
-    (if section_ran "vf" then begin
-       (match List.assoc_opt "vf.jain_min" current with
-       | Some j when j < vf_jain_floor -> fail "vf.jain_min: %.4f is below the %.2f floor" j vf_jain_floor
-       | Some _ -> ()
-       | None -> fail "vf.jain_min: missing from this run");
-       match List.assoc_opt "vf.max_share_err_pct" current with
-       | Some e when e > vf_err_ceiling_pct ->
-         fail "vf.max_share_err_pct: %.2f%% is above the %.0f%% ceiling" e vf_err_ceiling_pct
-       | Some _ -> ()
-       | None -> fail "vf.max_share_err_pct: missing from this run"
-     end);
-    (if section_ran "qos" then begin
-       (match List.assoc_opt "qos.share_min" current with
-       | Some s when s < qos_share_floor ->
-         fail "qos.share_min: %.4f is below the %.2f guaranteed-share floor" s qos_share_floor
-       | Some _ -> ()
-       | None -> fail "qos.share_min: missing from this run");
-       (match List.assoc_opt "qos.victim_p99_steady_cycles" current with
-       | Some p when p > qos_victim_p99_ceiling ->
-         fail "qos.victim_p99_steady_cycles: %.0f is above the %.0f-cycle SLO ceiling" p qos_victim_p99_ceiling
-       | Some _ -> ()
-       | None -> fail "qos.victim_p99_steady_cycles: missing from this run");
-       match List.assoc_opt "qos.starved_victims" current with
-       | Some s when s > 0. -> fail "qos.starved_victims: %.0f victims starved (must be 0)" s
-       | Some _ -> ()
-       | None -> fail "qos.starved_victims: missing from this run"
-     end);
-    (if section_ran "ddos" then begin
-       (* The event-stream digest is an identity, not a measurement —
-          exact match or the attack replay is not the committed one. *)
-       (match (List.assoc_opt "ddos.events_digest" baseline, List.assoc_opt "ddos.events_digest" current) with
-       | Some expect, Some got when got <> expect ->
-         fail "ddos.events_digest: %.0f vs baseline %.0f (digests must match exactly)" got expect
-       | _ -> ());
-       (match List.assoc_opt "ddos.snic.goodput_ratio" current with
-       | Some g when g < ddos_goodput_floor ->
-         fail "ddos.snic.goodput_ratio: %.4f is below the %.2f floor" g ddos_goodput_floor
-       | Some _ -> ()
-       | None -> fail "ddos.snic.goodput_ratio: missing from this run");
-       (match List.assoc_opt "ddos.snic.mem_flat" current with
-       | Some v when v <> 1. -> fail "ddos.snic.mem_flat: %.0f — defense memory grew (must be 1)" v
-       | Some _ -> ()
-       | None -> fail "ddos.snic.mem_flat: missing from this run");
-       List.iter
-         (fun key ->
-           match List.assoc_opt key current with
-           | Some v when v <> 0. -> fail "%s: %.0f — attacker reached NF memory in S-NIC mode (must be 0)" key v
-           | Some _ -> ()
-           | None -> fail "%s: missing from this run" key)
-         [ "ddos.snic.tampered"; "ddos.snic.key_stolen" ]
-     end);
-    (if section_ran "fabric" then begin
-       (* The event-stream digest is an identity: exact match or the
-          benign replay is not the committed one. *)
-       (match (List.assoc_opt "fabric.events_digest" baseline, List.assoc_opt "fabric.events_digest" current) with
-       | Some expect, Some got when got <> expect ->
-         fail "fabric.events_digest: %.0f vs baseline %.0f (digests must match exactly)" got expect
-       | _ -> ());
-       (match List.assoc_opt "fabric.goodput_ratio" current with
-       | Some g when g < fabric_goodput_floor ->
-         fail "fabric.goodput_ratio: %.4f is below the %.2f floor" g fabric_goodput_floor
-       | Some _ -> ()
-       | None -> fail "fabric.goodput_ratio: missing from this run");
-       List.iter
-         (fun key ->
-           match List.assoc_opt key current with
-           | Some v when v <> 0. -> fail "%s: %.0f (must be 0)" key v
-           | Some _ -> ()
-           | None -> fail "%s: missing from this run" key)
-         [ "fabric.benign_mac_failures"; "fabric.oracle_snic_violations" ];
-       List.iter
-         (fun key ->
-           match List.assoc_opt key current with
-           | Some v when v <> 1. -> fail "%s: %.0f (must be 1)" key v
-           | Some _ -> ()
-           | None -> fail "%s: missing from this run" key)
-         [ "fabric.adversary_all_rejected"; "fabric.fail_closed"; "fabric.failed_over"; "fabric.consistent" ]
-     end);
-    (if section_ran "par" then begin
-       (* Digests are identities, not measurements: the generic 25%
-          tolerance band is meaningless for them, so they must match the
-          baseline bit for bit. *)
-       List.iter
-         (fun (key, expect) ->
-           let n = String.length key in
-           if n > 11 && String.sub key 0 4 = "par." && String.sub key (n - 7) 7 = ".digest" then
-             match List.assoc_opt key current with
-             | Some got when got <> expect ->
-               fail "%s: digest %.0f vs baseline %.0f (digests must match exactly)" key got expect
-             | _ -> ())
-         baseline;
-       List.iter
-         (fun key ->
-           match List.assoc_opt key current with
-           | Some v when v <> 1. -> fail "%s: %.0f — parallel run diverged from sequential (must be 1)" key v
-           | Some _ -> ()
-           | None -> fail "%s: missing from this run" key)
-         [ "par.digest_consistent"; "par.fleet.consistent"; "par.chaos.consistent" ];
-       match (List.assoc_opt "par.speedup_4x" current, List.assoc_opt "par.cores" current) with
-       | Some s, Some c when c >= 4. && s < par_speedup_floor ->
-         fail "par.speedup_4x: %.2fx is below the %.1fx floor (on a %.0f-core host)" s par_speedup_floor c
-       | _ -> ()
-     end);
-    if !failures = [] then
-      Printf.printf "\nbench --check: %d baseline metrics within %.0f%%, absolute floors met\n"
-        (List.length baseline) (100. *. check_tolerance)
-    else begin
+    let get key = List.assoc_opt key current in
+    let exact = Printf.sprintf "%.6f" in
+    let mismatches =
+      List.filter_map
+        (fun (key, expect) ->
+          match get key with
+          | None -> Some (Printf.sprintf "%s: present in baseline but missing from this run" key)
+          | Some got when exact got <> exact expect ->
+            Some (Printf.sprintf "%s: %s vs baseline %s (must match exactly)" key (exact got) (exact expect))
+          | Some _ -> None)
+        baseline
+    in
+    let floors =
+      (match get "datapath.dma.speedup_x" with
+      | Some s when s < dma_speedup_floor ->
+        [ Printf.sprintf "datapath.dma.speedup_x: %.1fx is below the %.0fx floor" s dma_speedup_floor ]
+      | _ -> [])
+      @
+      match (get "par.speedup_4x", get "par.cores") with
+      | Some s, Some c when c >= 4. && s < par_speedup_floor ->
+        [ Printf.sprintf "par.speedup_4x: %.2fx is below the %.1fx floor (on a %.0f-core host)" s par_speedup_floor c ]
+      | _ -> []
+    in
+    match mismatches @ !gate_failures @ floors with
+    | [] ->
+      Printf.printf "\nbench --check: %d baseline metrics match exactly, scenario gates and floors met\n"
+        (List.length baseline)
+    | failures ->
       Printf.printf "\nbench --check FAILED against %s:\n" path;
-      List.iter (fun f -> Printf.printf "  %s\n" f) (List.rev !failures);
+      List.iter (Printf.printf "  %s\n") failures;
       exit 1
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Isolation oracle: differential-fuzzing throughput + violation census *)
@@ -1131,9 +1024,7 @@ let oracle_section () =
   List.iter
     (fun mode ->
       let id = Oracle.Campaign.mode_id mode in
-      let t0 = Sys.time () in
-      let r = Oracle.Campaign.run ~mode ~ops ~seed () in
-      let dt = Sys.time () -. t0 in
+      let r, dt = timed (fun () -> Oracle.Campaign.run ~mode ~ops ~seed ()) in
       let rate = if dt > 0. then float_of_int ops /. dt else 0. in
       let found = List.length r.Oracle.Campaign.violations in
       let by_class =
@@ -1178,27 +1069,20 @@ let vf_section () =
   in
   let groups = Fleet.Vfplace.per_nic assignments in
   let cycles = 32 in
-  let t0 = Sys.time () in
-  let results =
-    List.map
-      (fun (nic, assigns) ->
-        Vf.Scenario.run_nic ~nic ~cycles ~seed
-          ~vnics:(List.map (fun (a : Fleet.Vfplace.assignment) -> (a.tenant, a.weight)) assigns)
-          ())
-      groups
+  let results, secs =
+    timed (fun () ->
+        List.map
+          (fun (nic, assigns) ->
+            Vf.Scenario.run_nic ~nic ~cycles ~seed
+              ~vnics:(List.map (fun (a : Fleet.Vfplace.assignment) -> (a.tenant, a.weight)) assigns)
+              ())
+          groups)
   in
-  let secs = Sys.time () -. t0 in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-  let pkts = sum (fun (r : Vf.Scenario.nic_result) -> r.scheduled_pkts) in
-  let bytes = sum (fun (r : Vf.Scenario.nic_result) -> r.scheduled_bytes) in
-  let drops = sum (fun (r : Vf.Scenario.nic_result) -> r.drops) in
-  let rounds = sum (fun (r : Vf.Scenario.nic_result) -> r.rounds) in
-  let jain_min =
-    List.fold_left (fun a (r : Vf.Scenario.nic_result) -> Float.min a r.report.Obs.Fairness.index) infinity results
-  in
-  let max_err =
-    List.fold_left (fun a (r : Vf.Scenario.nic_result) -> Float.max a r.report.Obs.Fairness.max_rel_err) 0. results
-  in
+  let r = Vf.Scenario.aggregate results in
+  gate "vf" (Vf.Scenario.check r);
+  let pkts = r.Vf.Scenario.total_pkts and bytes = r.Vf.Scenario.total_bytes and drops = r.Vf.Scenario.total_drops in
+  let jain_min = r.Vf.Scenario.jain_min and max_err = r.Vf.Scenario.max_rel_err in
+  let rounds = List.fold_left (fun a (r : Vf.Scenario.nic_result) -> a + r.rounds) 0 results in
   let lat_jain_min =
     List.fold_left
       (fun a (r : Vf.Scenario.nic_result) -> Float.min a r.lat_report.Obs.Fairness.index)
@@ -1229,9 +1113,8 @@ let vf_section () =
 
 let qos_section () =
   header "QoS credits (lib/nicsim/qos): noisy neighbor vs latency SLOs";
-  let t0 = Sys.time () in
-  let r, _sup = Fleet.Chaos.run_qos Fleet.Chaos.default_qos_config in
-  let secs = Sys.time () -. t0 in
+  let (r, _sup), secs = timed (fun () -> Fleet.Chaos.run_qos Fleet.Chaos.default_qos_config) in
+  gate "qos" (Fleet.Chaos.qos_check r);
   let c = Fleet.Chaos.cycles_str in
   Printf.printf "protected run: victim p99 %s (steady %s), unprotected baseline p99 %s\n"
     (c r.Fleet.Chaos.q_victim_p99) (c r.Fleet.Chaos.q_victim_p99_steady) (c r.Fleet.Chaos.q_unprotected_p99);
@@ -1272,10 +1155,9 @@ let qos_section () =
 
 let ddos_section () =
   header "DDoS defense (lib/nf cuckoo/syn_proxy): SYN flood across protection modes";
-  let t0 = Sys.time () in
   let config = { Fleet.Chaos.default_ddos_config with Fleet.Chaos.d_seed = seed } in
-  let r = Fleet.Chaos.run_ddos config in
-  let secs = Sys.time () -. t0 in
+  let r, secs = timed (fun () -> Fleet.Chaos.run_ddos config) in
+  gate "ddos" (Fleet.Chaos.ddos_check r);
   print_string (Fleet.Chaos.ddos_summary r);
   Printf.printf "(%.2fs)\n" secs;
   metric "ddos.events_digest" (float_of_int r.Fleet.Chaos.d_events_digest);
@@ -1283,7 +1165,7 @@ let ddos_section () =
   metric "ddos.attack_pkts" (float_of_int r.Fleet.Chaos.d_attack_pkts);
   List.iter
     (fun (mr : Fleet.Chaos.ddos_mode_report) ->
-      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Fleet.Chaos.ddos_mode_id mr.Fleet.Chaos.dm_mode) name) v in
+      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Oracle.Campaign.mode_id mr.Fleet.Chaos.dm_mode) name) v in
       let flag name b = m name (if b then 1. else 0.) in
       m "goodput_ratio" mr.Fleet.Chaos.dm_goodput_ratio;
       m "unprotected_ratio" mr.Fleet.Chaos.dm_unprotected_ratio;
@@ -1307,10 +1189,9 @@ let ddos_section () =
 
 let fabric_section () =
   header "Attested fabric (lib/fabric): cross-NIC CuckooGuard chain + failover";
-  let t0 = Sys.time () in
   let config = { Fleet.Chaos.default_fabric_config with Fleet.Chaos.f_seed = seed } in
-  let r = Fleet.Chaos.run_fabric config in
-  let secs = Sys.time () -. t0 in
+  let r, secs = timed (fun () -> Fleet.Chaos.run_fabric config) in
+  gate "fabric" (Fleet.Chaos.fabric_check r);
   print_string (Fleet.Chaos.fabric_summary r);
   Printf.printf "(%.2fs)\n" secs;
   let m name v = metric ("fabric." ^ name) v in
@@ -1332,11 +1213,13 @@ let fabric_section () =
   m "state_replayed" (float_of_int r.Fleet.Chaos.f_state_replayed);
   m "state_recovered" (float_of_int r.Fleet.Chaos.f_state_recovered);
   flag "failed_over" r.Fleet.Chaos.f_failed_over;
-  flag "fail_closed" (Fleet.Chaos.fabric_fail_closed r);
+  flag "fail_closed"
+    (r.Fleet.Chaos.f_misstage_rejected && r.Fleet.Chaos.f_clone_rejected
+    && ((not config.Fleet.Chaos.f_kill) || r.Fleet.Chaos.f_dead_establish_refused));
   (* The same run at 1 and 4 domains must produce the same summary —
      the rack boot is the only fanned-out stage and it is seeded. *)
   let digest domains =
-    Par.Digest.strings [ Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains config) ]
+    Par.Digest.strings [ Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric ~domains config) ]
   in
   let d1 = digest 1 and d4 = digest 4 in
   Printf.printf "summary digest: %d (1 domain) vs %d (4 domains) — %s\n" d1 d4
@@ -1372,9 +1255,7 @@ let par_section () =
   let points =
     List.map
       (fun domains ->
-        let t0 = Unix.gettimeofday () in
-        let reports = Oracle.Campaign.run_sharded ~domains ~mode ~ops ~seed ~shards () in
-        let wall = Unix.gettimeofday () -. t0 in
+        let reports, wall = timed (fun () -> Oracle.Campaign.run_sharded ~domains ~mode ~ops ~seed ~shards ()) in
         let digest = Par.Digest.strings (Array.to_list (Array.map Oracle.Campaign.to_string reports)) in
         let rate = if wall > 0. then float_of_int (shards * ops) /. wall else 0. in
         (domains, rate, digest, reports))
@@ -1481,45 +1362,30 @@ let main () =
   run_check ();
   print_endline "\nAll experiments complete. See EXPERIMENTS.md for paper-vs-measured notes."
 
+(* --only SECTION: one section, its metrics and its --check gate. *)
+let sections =
+  [
+    ("datapath", "S-NIC datapath bench (bulk fast paths vs per-byte baseline)", datapath_section);
+    ("oracle", "S-NIC isolation oracle bench (differential fuzzing throughput)", oracle_section);
+    ("vf", "S-NIC virtual-function bench (two-stage scheduler fairness at density)", vf_section);
+    ("qos", "S-NIC QoS bench (credit arbitration, SLOs, noisy-neighbor self-healing)", qos_section);
+    ("par", "S-NIC parallel-shard bench (domain scaling + cross-domain determinism)", par_section);
+    ("ddos", "S-NIC DDoS bench (CuckooGuard SYN proxy across protection modes)", ddos_section);
+    ("fabric", "S-NIC fabric bench (attested NIC-to-NIC channels, cross-NIC chain failover)", fabric_section);
+  ]
+
 let () =
   match only with
-  | Some "datapath" ->
-    print_endline "S-NIC datapath bench (bulk fast paths vs per-byte baseline)";
-    datapath_section ();
-    write_metrics ();
-    run_check ()
-  | Some "oracle" ->
-    print_endline "S-NIC isolation oracle bench (differential fuzzing throughput)";
-    oracle_section ();
-    write_metrics ()
-  | Some "vf" ->
-    print_endline "S-NIC virtual-function bench (two-stage scheduler fairness at density)";
-    vf_section ();
-    write_metrics ();
-    run_check ()
-  | Some "qos" ->
-    print_endline "S-NIC QoS bench (credit arbitration, SLOs, noisy-neighbor self-healing)";
-    qos_section ();
-    write_metrics ();
-    run_check ()
-  | Some "par" ->
-    print_endline "S-NIC parallel-shard bench (domain scaling + cross-domain determinism)";
-    par_section ();
-    write_metrics ();
-    run_check ()
-  | Some "ddos" ->
-    print_endline "S-NIC DDoS bench (CuckooGuard SYN proxy across protection modes)";
-    ddos_section ();
-    write_metrics ();
-    run_check ()
-  | Some "fabric" ->
-    print_endline "S-NIC fabric bench (attested NIC-to-NIC channels, cross-NIC chain failover)";
-    fabric_section ();
-    write_metrics ();
-    run_check ()
-  | Some other ->
-    Printf.eprintf "unknown --only section: %s\n" other;
-    Printf.eprintf "Usage: bench [--fast] [--only SECTION] [--domains N] [--json PATH] [--check BASELINE]\n";
-    Printf.eprintf "  valid sections: datapath, oracle, vf, qos, par, ddos, fabric\n";
-    exit 124
   | None -> main ()
+  | Some name -> (
+    match List.find_opt (fun (n, _, _) -> n = name) sections with
+    | Some (_, title, section) ->
+      print_endline title;
+      section ();
+      write_metrics ();
+      run_check ()
+    | None ->
+      Printf.eprintf "unknown --only section: %s\n" name;
+      Printf.eprintf "Usage: bench [--fast] [--only SECTION] [--domains N] [--json PATH] [--check BASELINE]\n";
+      Printf.eprintf "  valid sections: %s\n" (String.concat ", " (List.map (fun (n, _, _) -> n) sections));
+      exit 124)

@@ -70,6 +70,15 @@ let merged_shard_registry ~domains ~shards results =
     results;
   merged
 
+(* Wall-clock seconds on the monotonic clock. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* A scenario's failed gates go to stderr, one line each, and fail the
+   run with exit 1. *)
+let exit_on_failures name failures =
+  List.iter (Printf.eprintf "%s: FAIL %s\n" name) failures;
+  if failures <> [] then exit 1
+
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -411,7 +420,7 @@ let chaos_cmd =
           end
         end;
         (match metrics with Some path -> write_file path (Fleet.Telemetry.prometheus telemetry) | None -> ());
-        if report.Fleet.Chaos.unattested_running > 0 || report.Fleet.Chaos.scrub_failures > 0 then exit 1
+        exit_on_failures "chaos" (Fleet.Chaos.check report)
       end
       else begin
         if json then begin
@@ -432,11 +441,7 @@ let chaos_cmd =
         | Some path ->
           write_file path (Obs.Metrics.prometheus (merged_shard_registry ~domains ~shards results))
         | None -> ());
-        if
-          Array.exists
-            (fun (r, _) -> r.Fleet.Chaos.unattested_running > 0 || r.Fleet.Chaos.scrub_failures > 0)
-            results
-        then exit 1
+        exit_on_failures "chaos" (List.concat_map (fun (r, _) -> Fleet.Chaos.check r) (Array.to_list results))
       end
   in
   Cmd.v
@@ -464,9 +469,9 @@ let datapath_cmd =
     in
     let mem = Physmem.create ~size in
     let time f =
-      let t0 = Sys.time () in
+      let t0 = now () in
       f ();
-      Float.max (Sys.time () -. t0) 1e-6
+      Float.max (now () -. t0) 1e-6
     in
     let r0 = Physmem.resolutions mem in
     let per_dt =
@@ -634,13 +639,16 @@ let vf_cmd =
          & info [ "cycles" ] ~docv:"C" ~doc:"Stage-1 scheduler rotations to serve (convergence depth)")
   in
   let quantum = Arg.(value & opt int 1024 & info [ "quantum" ] ~docv:"BYTES" ~doc:"Stage-1 byte quantum per weight unit") in
+  (* Threshold flags default to the scenario check's own defaults; the
+     ~absent strings only document them. *)
   let min_jain =
-    Arg.(value & opt float 0.95
-         & info [ "min-jain" ] ~docv:"F" ~doc:"Exit 1 if any NIC's weighted Jain index falls below $(docv)")
+    Arg.(value & opt (some float) None
+         & info [ "min-jain" ] ~absent:"0.95" ~docv:"F"
+             ~doc:"Exit 1 if any NIC's weighted Jain index falls below $(docv)")
   in
   let max_err =
-    Arg.(value & opt float 5.0
-         & info [ "max-err" ] ~docv:"PCT" ~doc:"Exit 1 if any tenant's goodput share misses its weight share by more than $(docv)%%")
+    Arg.(value & opt (some float) None
+         & info [ "max-err" ] ~absent:"5." ~docv:"PCT" ~doc:"Exit 1 if any tenant's goodput share misses its weight share by more than $(docv)%%")
   in
   let shares = Arg.(value & flag & info [ "shares" ] ~doc:"Print the per-tenant share table of the first NIC") in
   let run seed nics vfs cycles quantum min_jain max_err shares =
@@ -654,9 +662,9 @@ let vf_cmd =
     if quantum < 1 then fail "vf: --quantum must be >= 1";
     let seed = Option.value seed ~default:42 in
     let config = { Vf.Table.default_config with Vf.Table.quantum } in
-    let t0 = Sys.time () in
+    let t0 = now () in
     let r = Vf.Scenario.run ~config ~nics ~vfs ~cycles ~seed () in
-    let secs = Sys.time () -. t0 in
+    let secs = now () -. t0 in
     Printf.printf "vf: %d NIC(s) x %d VFs, %d cycles, quantum %d, seed %d\n" nics vfs cycles quantum seed;
     print_string (Vf.Scenario.summary r);
     (match (shares, r.Vf.Scenario.nics) with
@@ -665,14 +673,7 @@ let vf_cmd =
     if secs > 0. then
       Printf.printf "throughput: %.0f scheduled pkts/sec (wall, non-deterministic)\n"
         (float_of_int r.Vf.Scenario.total_pkts /. secs);
-    if r.Vf.Scenario.jain_min < min_jain then begin
-      Printf.eprintf "vf: FAIL jain %.4f below floor %.4f\n" r.Vf.Scenario.jain_min min_jain;
-      exit 1
-    end;
-    if 100. *. r.Vf.Scenario.max_rel_err > max_err then begin
-      Printf.eprintf "vf: FAIL share error %.2f%% above ceiling %.2f%%\n" (100. *. r.Vf.Scenario.max_rel_err) max_err;
-      exit 1
-    end
+    exit_on_failures "vf" (Vf.Scenario.check ?min_jain ?max_err_pct:max_err r)
   in
   Cmd.v
     (Cmd.info "vf"
@@ -687,8 +688,8 @@ let qos_cmd =
   let slo = Arg.(value & opt int 2000 & info [ "slo" ] ~docv:"CYCLES" ~doc:"Victim latency SLO in cycles") in
   let starve = Arg.(value & flag & info [ "starve" ] ~doc:"Starvation variant: zero structural slack (capacity = sum of guarantees)") in
   let min_share =
-    Arg.(value & opt float 0.9
-         & info [ "min-share" ] ~docv:"F" ~doc:"Exit 1 if any victim keeps less than $(docv) of its guaranteed share")
+    Arg.(value & opt (some float) None
+         & info [ "min-share" ] ~absent:"0.9" ~docv:"F" ~doc:"Exit 1 if any victim keeps less than $(docv) of its guaranteed share")
   in
   let max_p99 =
     Arg.(value & opt (some float) None
@@ -719,21 +720,7 @@ let qos_cmd =
     in
     let report, _sup = Fleet.Chaos.run_qos config in
     print_string (Fleet.Chaos.qos_summary report);
-    if report.Fleet.Chaos.q_starved > 0 then begin
-      Printf.eprintf "qos: FAIL %d victim(s) starved (zero grants)\n" report.Fleet.Chaos.q_starved;
-      exit 1
-    end;
-    if report.Fleet.Chaos.q_share_min < min_share then begin
-      Printf.eprintf "qos: FAIL guaranteed share %.4f below floor %.4f\n" report.Fleet.Chaos.q_share_min
-        min_share;
-      exit 1
-    end;
-    let ceiling = Option.value max_p99 ~default:(float_of_int slo) in
-    match report.Fleet.Chaos.q_victim_p99_steady with
-    | Some p99 when p99 > ceiling ->
-      Printf.eprintf "qos: FAIL steady-state victim p99 %.0f above ceiling %.0f cycles\n" p99 ceiling;
-      exit 1
-    | _ -> ()
+    exit_on_failures "qos" (Fleet.Chaos.qos_check ?min_share ?max_victim_p99:max_p99 report)
   in
   Cmd.v
     (Cmd.info "qos"
@@ -752,8 +739,8 @@ let ddos_cmd =
     Arg.(value & opt int 10 & info [ "log2-buckets" ] ~docv:"B" ~doc:"Whitelist cuckoo filter: 2^$(docv) buckets x 4 slots")
   in
   let min_goodput =
-    Arg.(value & opt float 0.8
-         & info [ "min-goodput" ] ~docv:"F"
+    Arg.(value & opt (some float) None
+         & info [ "min-goodput" ] ~absent:"0.8" ~docv:"F"
              ~doc:"Exit 1 if S-NIC-mode benign goodput under attack falls below $(docv) of the attack-free baseline")
   in
   let run seed flows factor pkts log2_buckets min_goodput =
@@ -765,7 +752,9 @@ let ddos_cmd =
     if factor < 1 then fail "ddos: --factor must be >= 1";
     if pkts < 1 then fail "ddos: --pkts-per-flow must be >= 1";
     if log2_buckets < 1 || log2_buckets > 28 then fail "ddos: --log2-buckets must be in 1..28";
-    if min_goodput < 0. || min_goodput > 1. then fail "ddos: --min-goodput must be in [0,1]";
+    (match min_goodput with
+    | Some g when g < 0. || g > 1. -> fail "ddos: --min-goodput must be in [0,1]"
+    | _ -> ());
     let config =
       {
         Fleet.Chaos.default_ddos_config with
@@ -778,20 +767,7 @@ let ddos_cmd =
     in
     let r = Fleet.Chaos.run_ddos config in
     print_string (Fleet.Chaos.ddos_summary r);
-    if r.Fleet.Chaos.d_snic_tampered || r.Fleet.Chaos.d_snic_key_stolen then begin
-      Printf.eprintf "ddos: FAIL S-NIC mode let the attacker reach NF memory (tampered=%b key_stolen=%b)\n"
-        r.Fleet.Chaos.d_snic_tampered r.Fleet.Chaos.d_snic_key_stolen;
-      exit 1
-    end;
-    if not r.Fleet.Chaos.d_snic_mem_flat then begin
-      Printf.eprintf "ddos: FAIL S-NIC-mode defense memory grew above its fixed reservation\n";
-      exit 1
-    end;
-    if r.Fleet.Chaos.d_snic_goodput_ratio < min_goodput then begin
-      Printf.eprintf "ddos: FAIL S-NIC-mode benign goodput %.4f below floor %.4f\n"
-        r.Fleet.Chaos.d_snic_goodput_ratio min_goodput;
-      exit 1
-    end
+    exit_on_failures "ddos" (Fleet.Chaos.ddos_check ?min_goodput r)
   in
   Cmd.v
     (Cmd.info "ddos"
@@ -815,8 +791,8 @@ let fabric_cmd =
   let tamper = Arg.(value & opt int 16 & info [ "tamper" ] ~docv:"N" ~doc:"Adversarial bit-flipped frames") in
   let no_kill = Arg.(value & flag & info [ "no-kill" ] ~doc:"Skip the mid-run tracker-NIC kill and failover") in
   let min_goodput =
-    Arg.(value & opt float 0.9
-         & info [ "min-goodput" ] ~docv:"F"
+    Arg.(value & opt (some float) None
+         & info [ "min-goodput" ] ~absent:"0.9" ~docv:"F"
              ~doc:"Exit 1 if goodput with the failover falls below $(docv) of the failure-free baseline")
   in
   let run seed nics flows pkts window buffer replay reorder tamper no_kill min_goodput metrics domains shards =
@@ -831,7 +807,9 @@ let fabric_cmd =
     if buffer < 0 then fail "fabric: --buffer must be >= 0";
     if replay < 0 || reorder < 0 || tamper < 0 then
       fail "fabric: --replay/--reorder/--tamper must be >= 0";
-    if min_goodput < 0. || min_goodput > 1. then fail "fabric: --min-goodput must be in [0,1]";
+    (match min_goodput with
+    | Some g when g < 0. || g > 1. -> fail "fabric: --min-goodput must be in [0,1]"
+    | _ -> ());
     let config =
       {
         Fleet.Chaos.default_fabric_config with
@@ -847,49 +825,15 @@ let fabric_cmd =
         f_kill = not no_kill;
       }
     in
-    (* The gates the CI fabric-smoke job pins: an authenticated channel
-       must bounce every forged/replayed frame, never a benign one, and
-       the failover must not cost goodput. *)
-    let gate (r : Fleet.Chaos.fabric_report) =
-      if r.Fleet.Chaos.f_benign_mac_failures > 0 then begin
-        Printf.eprintf "fabric: FAIL %d benign frame(s) tripped the authenticator\n"
-          r.Fleet.Chaos.f_benign_mac_failures;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_replay_rejected <> r.Fleet.Chaos.f_replay_sent then begin
-        Printf.eprintf "fabric: FAIL replay rejections %d/%d\n" r.Fleet.Chaos.f_replay_rejected
-          r.Fleet.Chaos.f_replay_sent;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_stale_rejected <> r.Fleet.Chaos.f_stale_sent then begin
-        Printf.eprintf "fabric: FAIL stale rejections %d/%d\n" r.Fleet.Chaos.f_stale_rejected
-          r.Fleet.Chaos.f_stale_sent;
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_tamper_rejected <> r.Fleet.Chaos.f_tamper_sent then begin
-        Printf.eprintf "fabric: FAIL tamper rejections %d/%d\n" r.Fleet.Chaos.f_tamper_rejected
-          r.Fleet.Chaos.f_tamper_sent;
-        exit 1
-      end;
-      if not (Fleet.Chaos.fabric_fail_closed r) then begin
-        prerr_endline "fabric: FAIL an establishment that had to be refused was accepted";
-        exit 1
-      end;
-      if r.Fleet.Chaos.f_goodput_ratio < min_goodput then begin
-        Printf.eprintf "fabric: FAIL goodput ratio %.4f below floor %.4f\n" r.Fleet.Chaos.f_goodput_ratio
-          min_goodput;
-        exit 1
-      end
-    in
     let shards = Option.value shards ~default:1 in
     if shards = 1 then begin
       let sink = if metrics = None then Obs.null else Obs.create () in
-      let r = Fleet.Chaos.run_fabric_with ~sink ~domains config in
+      let r = Fleet.Chaos.run_fabric ~sink ~domains config in
       print_string (Fleet.Chaos.fabric_summary r);
       (match (metrics, Obs.registry sink) with
       | Some path, Some reg -> write_file path (Obs.Metrics.prometheus reg)
       | _ -> ());
-      gate r
+      exit_on_failures "fabric" (Fleet.Chaos.fabric_check ?min_goodput r)
     end
     else begin
       if metrics <> None then begin
@@ -902,7 +846,8 @@ let fabric_cmd =
           Printf.printf "=== shard %d (seed %d) ===\n" i r.Fleet.Chaos.f_config.Fleet.Chaos.f_seed;
           print_string (Fleet.Chaos.fabric_summary r))
         reports;
-      Array.iter gate reports
+      exit_on_failures "fabric"
+        (List.concat_map (Fleet.Chaos.fabric_check ?min_goodput) (Array.to_list reports))
     end
   in
   Cmd.v

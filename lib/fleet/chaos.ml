@@ -75,6 +75,10 @@ type report = {
   quarantined_nics : int;
 }
 
+(* The messages of the gates whose violation condition holds, in order:
+   every scenario's check is a list of (violated, message) pairs. *)
+let violations gates = List.filter_map (fun (violated, msg) -> if violated then Some msg else None) gates
+
 (* Spread the failure budget over the gaps between rounds (same shape as
    Scenario): gap g of R-1 gets the g-th share. *)
 let budget_for ~total ~gaps ~gap =
@@ -657,6 +661,17 @@ let qos_summary r =
     (if (List.hd r.q_outcomes).qt_quarantined then 1 else 0);
   Buffer.contents b
 
+let qos_check ?(min_share = 0.9) ?max_victim_p99 r =
+  let ceiling = Option.value max_victim_p99 ~default:(float_of_int r.q_config.q_slo) in
+  let p99 = Option.value r.q_victim_p99_steady ~default:neg_infinity in
+  violations
+    [
+      (r.q_starved > 0, Printf.sprintf "%d victim(s) starved (zero grants)" r.q_starved);
+      ( r.q_share_min < min_share,
+        Printf.sprintf "guaranteed share %.4f below floor %.4f" r.q_share_min min_share );
+      (p99 > ceiling, Printf.sprintf "steady-state victim p99 %.0f above ceiling %.0f cycles" p99 ceiling);
+    ]
+
 (* "-" rather than a fabricated 0.00ms when there are too few samples
    for the quantile to mean anything. *)
 let quantile_str = function None -> "-" | Some v -> Printf.sprintf "%.2fms" v
@@ -695,6 +710,14 @@ let summary r =
   Printf.bprintf b "  invariants: unattested_running=%d scrub_failures=%d max_unattested_observed=%d\n"
     r.unattested_running r.scrub_failures r.max_unattested_observed;
   Buffer.contents b
+
+let check r =
+  violations
+    [
+      (r.unattested_running > 0, Printf.sprintf "%d unattested function(s) running" r.unattested_running);
+      (r.scrub_failures > 0, Printf.sprintf "%d teardown scrub(s) failed verification" r.scrub_failures);
+      (r.final_unplaced > 0, Printf.sprintf "%d tenant(s) left unplaced" r.final_unplaced);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* DDoS: CuckooGuard SYN-proxy pair under adversarial traffic          *)
@@ -1046,6 +1069,17 @@ benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n
     (if r.d_snic_key_stolen then 1 else 0);
   Buffer.contents b
 
+let ddos_check ?(min_goodput = 0.8) r =
+  violations
+    [
+      ( r.d_snic_tampered || r.d_snic_key_stolen,
+        Printf.sprintf "S-NIC mode let the attacker reach NF memory (tampered=%b key_stolen=%b)" r.d_snic_tampered
+          r.d_snic_key_stolen );
+      (not r.d_snic_mem_flat, "S-NIC-mode defense memory grew above its fixed reservation");
+      ( r.d_snic_goodput_ratio < min_goodput,
+        Printf.sprintf "S-NIC-mode benign goodput %.4f below floor %.4f" r.d_snic_goodput_ratio min_goodput );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Fabric: attested NIC-to-NIC channels carrying a cross-NIC NF chain  *)
 (* ------------------------------------------------------------------ *)
@@ -1375,7 +1409,7 @@ let fabric_negative_probes config ~orch rng =
   in
   (misstage_rejected, clone_rejected)
 
-let run_fabric_with ?(sink = Obs.null) ?(domains = 1) config =
+let run_fabric ?(sink = Obs.null) ?(domains = 1) config =
   if config.f_nics < 3 then invalid_arg "Chaos.run_fabric: need at least 3 NICs (two stages + a spare)";
   if config.f_flows < 1 then invalid_arg "Chaos.run_fabric: need at least 1 flow";
   if config.f_packets_per_flow < 1 then invalid_arg "Chaos.run_fabric: need at least 1 packet per flow";
@@ -1419,14 +1453,14 @@ let run_fabric_with ?(sink = Obs.null) ?(domains = 1) config =
     f_clone_rejected = clone_rejected;
   }
 
-let run_fabric ?sink config = run_fabric_with ?sink config
-
 (* Sharded fabric storms, merged by shard index like [run_many]. *)
 let run_fabric_many ?(domains = 1) ~shards config =
   Par.Engine.map_seeded ~domains ~seed:config.f_seed ~shards (fun ~shard:_ ~seed ->
-      run_fabric_with { config with f_seed = seed })
+      run_fabric { config with f_seed = seed })
 
-let fabric_fail_closed r =
+(* Every establishment that had to be refused was refused: mis-staged
+   image, cloned identity, and (when the kill ran) the dead NIC. *)
+let fail_closed r =
   r.f_misstage_rejected && r.f_clone_rejected && ((not r.f_config.f_kill) || r.f_dead_establish_refused)
 
 let fabric_summary r =
@@ -1453,5 +1487,22 @@ let fabric_summary r =
 goodput_ratio=%.4f failover=%d fail_closed=%d\n"
     r.f_benign_mac_failures r.f_replay_rejected r.f_replay_sent r.f_stale_rejected r.f_stale_sent
     r.f_tamper_rejected r.f_tamper_sent r.f_goodput_ratio (flag r.f_failed_over)
-    (flag (fabric_fail_closed r));
+    (flag (fail_closed r));
   Buffer.contents b
+
+(* An authenticated channel must bounce every forged or replayed frame
+   and never a benign one, and the failover must not cost goodput. *)
+let fabric_check ?(min_goodput = 0.9) r =
+  violations
+    [
+      ( r.f_benign_mac_failures > 0,
+        Printf.sprintf "%d benign frame(s) tripped the authenticator" r.f_benign_mac_failures );
+      ( r.f_replay_rejected <> r.f_replay_sent,
+        Printf.sprintf "replay rejections %d/%d" r.f_replay_rejected r.f_replay_sent );
+      (r.f_stale_rejected <> r.f_stale_sent, Printf.sprintf "stale rejections %d/%d" r.f_stale_rejected r.f_stale_sent);
+      ( r.f_tamper_rejected <> r.f_tamper_sent,
+        Printf.sprintf "tamper rejections %d/%d" r.f_tamper_rejected r.f_tamper_sent );
+      (not (fail_closed r), "an establishment that had to be refused was accepted");
+      ( r.f_goodput_ratio < min_goodput,
+        Printf.sprintf "goodput ratio %.4f below floor %.4f" r.f_goodput_ratio min_goodput );
+    ]

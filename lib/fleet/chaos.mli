@@ -163,6 +163,12 @@ val run_qos : ?sink:Obs.sink -> qos_config -> qos_report * Supervisor.t
     ["invariants: starved_victims=0 share_min=... aggressor_quarantined=1"]. *)
 val qos_summary : qos_report -> string
 
+(** The noisy-neighbor gates, one message per failed gate: no victim
+    starved, every victim keeps at least [min_share] (default 0.9) of its
+    guarantee, and the steady-state victim p99, when measured, is at most
+    [max_victim_p99] cycles (default: the config's SLO). *)
+val qos_check : ?min_share:float -> ?max_victim_p99:float -> qos_report -> string list
+
 (** ["-"] for [None], ["12.34ms"] for [Some] — how the summary and the
     bench render optional recovery quantiles. *)
 val quantile_str : float option -> string
@@ -175,6 +181,12 @@ val cycles_str : float option -> string
     ["invariants: unattested_running=0 scrub_failures=0 ..."] on a
     passing run. *)
 val summary : report -> string
+
+(** The storm's gates, one message per failed gate ([[]] on a pass): no
+    unattested function running, no failed teardown scrub, no tenant
+    left unplaced at the end.  [snic_cli chaos] exits 1 on a non-empty
+    list and [bench] reports it under [--check]. *)
+val check : report -> string list
 
 (** {1 DDoS: the CuckooGuard pair under adversarial traffic}
 
@@ -207,14 +219,9 @@ type ddos_config = {
   d_modes : Nicsim.Machine.mode list;
 }
 
-val ddos_modes : Nicsim.Machine.mode list
-(** The five evaluated protection modes (SE-UM with xkphys hiding). *)
-
 val default_ddos_config : ddos_config
-(** Seed 42, 256 benign flows, 10x attack factor, 2^10-bucket whitelist. *)
-
-val ddos_mode_id : Nicsim.Machine.mode -> string
-(** Short id ("se-s" .. "snic"), mirroring [Oracle.Campaign.mode_id]. *)
+(** Seed 42, 256 benign flows, 10x attack factor, 2^10-bucket whitelist,
+    all five protection modes (SE-UM with xkphys hiding). *)
 
 type ddos_mode_report = {
   dm_mode : Nicsim.Machine.mode;
@@ -264,6 +271,12 @@ val run_ddos : ?sink:Obs.sink -> ddos_config -> ddos_report
     ["invariants: snic_goodput=1.0000 snic_mem_flat=1 snic_tampered=0
     snic_key_stolen=0"] on a passing run. *)
 val ddos_summary : ddos_report -> string
+
+(** The S-NIC-mode gates, one message per failed gate: the attacker
+    neither wrote nor read the NF's memory, the defense memory stayed
+    flat, and benign goodput under attack is at least [min_goodput]
+    (default 0.8) of the attack-free baseline. *)
+val ddos_check : ?min_goodput:float -> ddos_report -> string list
 
 (** {2 Fabric scenario}
 
@@ -331,29 +344,31 @@ type fabric_report = {
   f_clone_rejected : bool;  (** cloned EK under a new NIC id -> [Identity_reuse] *)
 }
 
-val run_fabric : ?sink:Obs.sink -> fabric_config -> fabric_report
-(** [run_fabric ?sink config] — a failure-free baseline pass, then the
-    instrumented pass with the NIC kill and the adversarial replays,
-    then the two negative establishment probes.  [sink] receives the
-    [fabric_*] hot-path counters and the per-hop spans of the
-    instrumented pass.  Raises [Invalid_argument] on fewer than 3 NICs,
-    fewer than 1 flow or packet per flow, a window outside 1..62, a
-    negative buffer or negative adversarial counts. *)
-
-val run_fabric_with : ?sink:Obs.sink -> ?domains:int -> fabric_config -> fabric_report
-(** [run_fabric_with ?sink ?domains config] — [domains] parallelises the
-    rack boots; the report is bit-identical for any value. *)
+val run_fabric : ?sink:Obs.sink -> ?domains:int -> fabric_config -> fabric_report
+(** [run_fabric ?sink ?domains config] — a failure-free baseline pass,
+    then the instrumented pass with the NIC kill and the adversarial
+    replays, then the two negative establishment probes.  [sink]
+    receives the [fabric_*] hot-path counters and the per-hop spans of
+    the instrumented pass.  [domains] (default 1) parallelises the rack
+    boots; the report is bit-identical for any value.  Raises
+    [Invalid_argument] on fewer than 3 NICs, fewer than 1 flow or packet
+    per flow, a window outside 1..62, a negative buffer or negative
+    adversarial counts. *)
 
 val run_fabric_many : ?domains:int -> shards:int -> fabric_config -> fabric_report array
 (** [shards] independent fabric runs under derived seeds, merged by
     shard index (deterministic for any [domains]). *)
-
-val fabric_fail_closed : fabric_report -> bool
-(** Every establishment that had to be refused was refused: mis-staged
-    image, cloned identity, and (when the kill ran) the dead NIC. *)
 
 val fabric_summary : fabric_report -> string
 (** Human-readable rollup; ends with the stable greppable line
     ["invariants: benign_mac_fail=0 replay_rejects=24/24
     stale_rejects=24/24 tamper_rejects=16/16 goodput_ratio=1.0000
     failover=1 fail_closed=1"] on a passing default run. *)
+
+val fabric_check : ?min_goodput:float -> fabric_report -> string list
+(** The fabric gates, one message per failed gate: zero benign MAC
+    failures; every replayed, stale and tampered frame rejected; every
+    establishment that had to be refused refused (mis-staged image,
+    cloned identity, and the dead NIC when the kill ran); goodput with
+    the failover at least [min_goodput] (default 0.9) of the
+    failure-free baseline. *)

@@ -122,13 +122,7 @@ let weight_cycle = [| 1; 2; 4; 8 |]
 let default_vnics ~nic ~vfs =
   List.init vfs (fun vf -> ((nic * 10000) + vf + 1, weight_cycle.(vf mod 4)))
 
-let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~seed () =
-  if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
-  if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
-  let results =
-    List.init nics (fun nic ->
-        run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ())
-  in
+let aggregate results =
   let total_pkts = List.fold_left (fun a r -> a + r.scheduled_pkts) 0 results in
   let total_bytes = List.fold_left (fun a r -> a + r.scheduled_bytes) 0 results in
   let total_drops = List.fold_left (fun a r -> a + r.drops) 0 results in
@@ -139,6 +133,21 @@ let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~
     List.fold_left (fun a r -> Float.max a r.report.Obs.Fairness.max_rel_err) 0. results
   in
   { nics = results; total_pkts; total_bytes; total_drops; jain_min; max_rel_err }
+
+let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~seed () =
+  if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
+  if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
+  aggregate
+    (List.init nics (fun nic -> run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ()))
+
+let check ?(min_jain = 0.95) ?(max_err_pct = 5.0) r =
+  let err_pct = 100. *. r.max_rel_err in
+  List.filter_map
+    (fun (violated, msg) -> if violated then Some msg else None)
+    [
+      (r.jain_min < min_jain, Printf.sprintf "jain %.4f below floor %.4f" r.jain_min min_jain);
+      (err_pct > max_err_pct, Printf.sprintf "share error %.2f%% above ceiling %.2f%%" err_pct max_err_pct);
+    ]
 
 let nic_summary r =
   Printf.sprintf

@@ -29,9 +29,6 @@ type result = {
   max_rel_err : float;  (** worst per-NIC share error vs weights *)
 }
 
-val prefill_depth : int
-(** Descriptors kept in flight per VF (well under the TX quota). *)
-
 val run_nic :
   ?sink:Obs.sink ->
   ?config:Table.config ->
@@ -45,8 +42,8 @@ val run_nic :
     [vnics].  Raises [Invalid_argument] on [cycles < 1] or an empty
     vNIC list. *)
 
-val default_vnics : nic:int -> vfs:int -> (int * int) list
-(** [vfs] tenants with weights cycling 1, 2, 4, 8 down the VF ids. *)
+val aggregate : nic_result list -> result
+(** Totals and the worst per-NIC fairness over already-driven NICs. *)
 
 val run :
   ?sink:Obs.sink ->
@@ -57,7 +54,14 @@ val run :
   seed:int ->
   unit ->
   result
-(** [nics] independent NICs, each fully populated via {!default_vnics}. *)
+(** [nics] independent NICs, each fully populated: [vfs] tenants with
+    weights cycling 1, 2, 4, 8 down the VF ids. *)
+
+val check : ?min_jain:float -> ?max_err_pct:float -> result -> string list
+(** The fairness gates, one message per failed gate ([[]] on a pass):
+    the worst per-NIC weighted Jain index is at least [min_jain]
+    (default 0.95), and no tenant's goodput share misses its weight
+    share by more than [max_err_pct] percent (default 5). *)
 
 val nic_summary : nic_result -> string
 (** One deterministic line (no timing) for a NIC. *)

@@ -9,11 +9,15 @@
 # The bench binary follows the same convention for section selection:
 # an unknown --only section is a 124 + usage error, not a silent no-op.
 #
-# Usage: cli_contract.sh /path/to/snic_cli.exe [/path/to/bench.exe]
+# A scenario whose gate fails exits 1, and bench --check compares the
+# committed baseline exactly.
+#
+# Usage: cli_contract.sh /path/to/snic_cli.exe [/path/to/bench.exe /path/to/BENCH_qos.baseline.json]
 set -e
 
 cli="$1"
 bench="$2"
+qos_baseline="$3"
 [ -x "$cli" ] || { echo "cli_contract: no executable at '$cli'" >&2; exit 2; }
 
 fail() { echo "cli_contract FAIL: $*" >&2; exit 1; }
@@ -124,6 +128,12 @@ set +e
 [ $? -eq 2 ] || fail "'fabric --min-goodput 1.5' should exit 2"
 "$cli" fabric --shards 2 --metrics /tmp/fab.prom > /dev/null 2>&1
 [ $? -eq 2 ] || fail "'fabric --shards 2 --metrics' should exit 2"
+
+# A failed scenario gate is exit 1 (not 2: the arguments were valid).
+"$cli" vf --nics 1 --vfs 8 --cycles 2 --min-jain 1.0 > /dev/null 2>&1
+[ $? -eq 1 ] || fail "'vf --min-jain 1.0' on an unconverged run should exit 1"
+"$cli" qos --max-victim-p99 1 > /dev/null 2>&1
+[ $? -eq 1 ] || fail "'qos --max-victim-p99 1' should exit 1"
 set -e
 
 # An unknown NF short name anywhere a command takes one is a cmdliner
@@ -187,6 +197,25 @@ if [ -n "$bench" ]; then
       *) fail "'bench --domains $v' printed no usage line" ;;
     esac
   done
+
+  # --check compares every baseline key exactly: a copy of the qos
+  # baseline with one value moved in its sixth decimal must fail and
+  # name the key.
+  if [ -n "$qos_baseline" ]; then
+    off=$(mktemp)
+    sed 's/"qos.share_min": 0.975000/"qos.share_min": 0.975001/' "$qos_baseline" > "$off"
+    grep -q '"qos.share_min": 0.975001' "$off" || fail "could not perturb qos.share_min in $qos_baseline"
+    set +e
+    out=$("$bench" --only qos --check "$off" 2>&1)
+    status=$?
+    set -e
+    rm -f "$off"
+    [ "$status" -eq 1 ] || fail "'bench --only qos --check' on a perturbed baseline exited $status, want 1"
+    case "$out" in
+      *"qos.share_min: 0.975000 vs baseline 0.975001"*) : ;;
+      *) fail "'bench --only qos --check' did not name the perturbed key" ;;
+    esac
+  fi
 fi
 
 echo "cli contract holds (fleet chaos trace datapath oracle vf qos ddos fabric attacks; --domains; --nf; bench --only)"

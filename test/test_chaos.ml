@@ -27,6 +27,21 @@ let test_storm_seed_42 () = check_storm 42
 let test_storm_seed_1337 () = check_storm 1337
 let test_storm_seed_20240 () = check_storm 20240
 
+(* ---------- the storm's gates ---------- *)
+
+(* One clean small storm, then one copy per gate with only that field
+   pushed past it: each copy must fail exactly that gate. *)
+let test_check_gates () =
+  let r =
+    Fleet.Chaos.run
+      { Fleet.Chaos.default_config with Fleet.Chaos.n_nics = 4; n_tenants = 8; rounds = 2; packets_per_round = 100 }
+  in
+  let check name want r' = Alcotest.(check (list string)) name want (Fleet.Chaos.check r') in
+  check "a small default storm passes" [] r;
+  check "unattested" [ "2 unattested function(s) running" ] { r with Fleet.Chaos.unattested_running = 2 };
+  check "scrub" [ "1 teardown scrub(s) failed verification" ] { r with Fleet.Chaos.scrub_failures = 1 };
+  check "unplaced" [ "3 tenant(s) left unplaced" ] { r with Fleet.Chaos.final_unplaced = 3 }
+
 (* ---------- determinism: seed -> byte-identical artifacts ---------- *)
 
 let test_deterministic_replay () =
@@ -173,6 +188,7 @@ let suite =
     Alcotest.test_case "storm invariants (seed 1337)" `Slow test_storm_seed_1337;
     Alcotest.test_case "storm invariants (seed 20240)" `Slow test_storm_seed_20240;
     Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
+    Alcotest.test_case "check gates" `Quick test_check_gates;
     Alcotest.test_case "quarantine, drain, readmit" `Slow test_quarantine_drain_readmit;
     Alcotest.test_case "bounded retry with backoff" `Quick test_retry_backoff_exhaustion;
     Alcotest.test_case "no-capacity alarms immediately" `Quick test_no_capacity_alarms;

@@ -302,10 +302,28 @@ let test_run_ddos_snic_invariants () =
   List.iter
     (fun (m : Fleet.Chaos.ddos_mode_report) ->
       Alcotest.(check int)
-        (Fleet.Chaos.ddos_mode_id m.dm_mode ^ " drops all attack SYNs")
+        (Oracle.Campaign.mode_id m.dm_mode ^ " drops all attack SYNs")
         m.Fleet.Chaos.dm_attack_pkts m.Fleet.Chaos.dm_attack_dropped;
-      Alcotest.(check bool) (Fleet.Chaos.ddos_mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
+      Alcotest.(check bool) (Oracle.Campaign.mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
     r.Fleet.Chaos.d_mode_reports
+
+(* One clean small run, then one copy per gate with only that field
+   pushed past it: each copy must fail exactly that gate. *)
+let test_ddos_check_gates () =
+  let r = Fleet.Chaos.run_ddos small_config in
+  let check ?min_goodput name want r' =
+    Alcotest.(check (list string)) name want (Fleet.Chaos.ddos_check ?min_goodput r')
+  in
+  check "a small default run passes" [] r;
+  let reach = "S-NIC mode let the attacker reach NF memory" in
+  check "tampered" [ reach ^ " (tampered=true key_stolen=false)" ] { r with Fleet.Chaos.d_snic_tampered = true };
+  check "key stolen" [ reach ^ " (tampered=false key_stolen=true)" ] { r with Fleet.Chaos.d_snic_key_stolen = true };
+  check "memory grew" [ "S-NIC-mode defense memory grew above its fixed reservation" ]
+    { r with Fleet.Chaos.d_snic_mem_flat = false };
+  check "goodput" [ "S-NIC-mode benign goodput 0.5000 below floor 0.8000" ]
+    { r with Fleet.Chaos.d_snic_goodput_ratio = 0.5 };
+  check ~min_goodput:1.0 "explicit floor" [ "S-NIC-mode benign goodput 0.9900 below floor 1.0000" ]
+    { r with Fleet.Chaos.d_snic_goodput_ratio = 0.99 }
 
 let test_run_ddos_deterministic () =
   let s1 = Fleet.Chaos.ddos_summary (Fleet.Chaos.run_ddos small_config) in
@@ -354,4 +372,5 @@ let suite =
     Alcotest.test_case "run_ddos deterministic" `Quick test_run_ddos_deterministic;
     Alcotest.test_case "run_ddos obs counters" `Quick test_run_ddos_counters;
     Alcotest.test_case "run_ddos validation" `Quick test_run_ddos_validation;
+    Alcotest.test_case "ddos_check gates" `Quick test_ddos_check_gates;
   ]

@@ -319,7 +319,7 @@ let test_run_fabric_invariants () =
   Alcotest.(check bool) "adversarial traffic was sent" true
     (r.Fleet.Chaos.f_replay_sent > 0 && r.Fleet.Chaos.f_stale_sent > 0 && r.Fleet.Chaos.f_tamper_sent > 0);
   Alcotest.(check bool) "failed over" true r.Fleet.Chaos.f_failed_over;
-  Alcotest.(check bool) "fail closed everywhere" true (Fleet.Chaos.fabric_fail_closed r);
+  Alcotest.(check (list string)) "every fabric gate holds" [] (Fleet.Chaos.fabric_check r);
   Alcotest.(check bool) "dead NIC refused" true r.Fleet.Chaos.f_dead_establish_refused;
   Alcotest.(check bool) "mis-staged image refused" true r.Fleet.Chaos.f_misstage_rejected;
   Alcotest.(check bool) "cloned EK refused" true r.Fleet.Chaos.f_clone_rejected;
@@ -330,13 +330,43 @@ let test_run_fabric_invariants () =
   Alcotest.(check bool) "attested establishments happened" true (r.Fleet.Chaos.f_handshakes >= 2);
   Alcotest.(check bool) "frames crossed the fabric" true (r.Fleet.Chaos.f_hops > 0)
 
+(* Each gate on a copy of one clean report with only that field pushed
+   past it: exactly that gate's failure, nothing else. *)
+let test_fabric_check_gates () =
+  let r = Fleet.Chaos.run_fabric small_config in
+  let check ?min_goodput name want r' =
+    Alcotest.(check (list string)) name want (Fleet.Chaos.fabric_check ?min_goodput r')
+  in
+  let refused = "an establishment that had to be refused was accepted" in
+  let sent = r.Fleet.Chaos.f_replay_sent in
+  check "benign MAC failure" [ "1 benign frame(s) tripped the authenticator" ]
+    { r with Fleet.Chaos.f_benign_mac_failures = 1 };
+  check "replay" [ Printf.sprintf "replay rejections %d/%d" (sent - 1) sent ]
+    { r with Fleet.Chaos.f_replay_rejected = sent - 1 };
+  check "stale" [ Printf.sprintf "stale rejections 0/%d" r.Fleet.Chaos.f_stale_sent ]
+    { r with Fleet.Chaos.f_stale_rejected = 0 };
+  check "tamper" [ Printf.sprintf "tamper rejections 0/%d" r.Fleet.Chaos.f_tamper_sent ]
+    { r with Fleet.Chaos.f_tamper_rejected = 0 };
+  check "mis-staged image accepted" [ refused ] { r with Fleet.Chaos.f_misstage_rejected = false };
+  check "cloned identity accepted" [ refused ] { r with Fleet.Chaos.f_clone_rejected = false };
+  check "dead NIC accepted" [ refused ] { r with Fleet.Chaos.f_dead_establish_refused = false };
+  check "dead NIC irrelevant without the kill" []
+    {
+      r with
+      Fleet.Chaos.f_dead_establish_refused = false;
+      f_config = { r.Fleet.Chaos.f_config with Fleet.Chaos.f_kill = false };
+    };
+  check "goodput" [ "goodput ratio 0.5000 below floor 0.9000" ] { r with Fleet.Chaos.f_goodput_ratio = 0.5 };
+  check ~min_goodput:1.0 "explicit floor" [ "goodput ratio 0.9500 below floor 1.0000" ]
+    { r with Fleet.Chaos.f_goodput_ratio = 0.95 }
+
 let test_run_fabric_no_kill () =
   let r = Fleet.Chaos.run_fabric { small_config with Fleet.Chaos.f_kill = false } in
   Alcotest.(check bool) "no failover without a kill" false r.Fleet.Chaos.f_failed_over;
   Alcotest.(check int) "no state replayed" 0 r.Fleet.Chaos.f_state_replayed;
   Alcotest.(check (float 0.0001)) "goodput matches the baseline" 1.0 r.Fleet.Chaos.f_goodput_ratio;
   (* The negative establishment probes still run and still fail closed. *)
-  Alcotest.(check bool) "fail closed without the kill" true (Fleet.Chaos.fabric_fail_closed r);
+  Alcotest.(check (list string)) "every gate holds without the kill" [] (Fleet.Chaos.fabric_check r);
   Alcotest.(check int) "benign traffic still clean" 0 r.Fleet.Chaos.f_benign_mac_failures
 
 (* The ddos suite's determinism pattern: three seeds, each replayed
@@ -355,8 +385,8 @@ let test_run_fabric_determinism () =
   Alcotest.(check int) "three seeds diverge" 3 (List.length (List.sort_uniq compare summaries))
 
 let test_run_fabric_domains () =
-  let s1 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains:1 small_config) in
-  let s4 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric_with ~domains:4 small_config) in
+  let s1 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric ~domains:1 small_config) in
+  let s4 = Fleet.Chaos.fabric_summary (Fleet.Chaos.run_fabric ~domains:4 small_config) in
   Alcotest.(check string) "domains 1 = domains 4" s1 s4
 
 let test_run_fabric_many () =
@@ -435,4 +465,5 @@ let suite =
     Alcotest.test_case "run_fabric sharded" `Quick test_run_fabric_many;
     Alcotest.test_case "run_fabric validation" `Quick test_run_fabric_validation;
     Alcotest.test_case "run_fabric obs counters" `Quick test_run_fabric_counters;
+    Alcotest.test_case "fabric_check gates" `Quick test_fabric_check_gates;
   ]

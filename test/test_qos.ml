@@ -238,6 +238,24 @@ let test_run_qos_deterministic () =
     (Fleet.Chaos.qos_summary r2);
   Alcotest.(check int) "no victim starved" 0 r1.Fleet.Chaos.q_starved
 
+(* One clean small run, then one copy per gate with only that field
+   pushed past it: each copy must fail exactly that gate. *)
+let test_qos_check_gates () =
+  let r, _ = Fleet.Chaos.run_qos small_qos in
+  let check ?min_share ?max_victim_p99 name want r' =
+    Alcotest.(check (list string)) name want (Fleet.Chaos.qos_check ?min_share ?max_victim_p99 r')
+  in
+  check "a small default run passes" [] r;
+  check "starved" [ "2 victim(s) starved (zero grants)" ] { r with Fleet.Chaos.q_starved = 2 };
+  check "share" [ "guaranteed share 0.5000 below floor 0.9000" ] { r with Fleet.Chaos.q_share_min = 0.5 };
+  check "p99 above the SLO" [ "steady-state victim p99 2001 above ceiling 2000 cycles" ]
+    { r with Fleet.Chaos.q_victim_p99_steady = Some 2001. };
+  check "no steady-state samples" [] { r with Fleet.Chaos.q_victim_p99_steady = None };
+  check ~max_victim_p99:10. "explicit ceiling" [ "steady-state victim p99 50 above ceiling 10 cycles" ]
+    { r with Fleet.Chaos.q_victim_p99_steady = Some 50. };
+  check ~min_share:1.0 "explicit floor" [ "guaranteed share 0.9750 below floor 1.0000" ]
+    { r with Fleet.Chaos.q_share_min = 0.975 }
+
 let suite =
   [
     Alcotest.test_case "contract validation" `Quick test_validation;
@@ -250,4 +268,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_starvation_freedom;
     Alcotest.test_case "run_qos validation" `Quick test_run_qos_validation;
     Alcotest.test_case "run_qos determinism" `Quick test_run_qos_deterministic;
+    Alcotest.test_case "qos_check gates" `Quick test_qos_check_gates;
   ]

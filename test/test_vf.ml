@@ -273,6 +273,20 @@ let test_scenario_weighted_shares_converge () =
   Alcotest.(check bool) "shares within 5% of weights" true (r.Vf.Scenario.max_rel_err <= 0.05);
   Alcotest.(check bool) "jain above the gate floor" true (r.Vf.Scenario.jain_min >= 0.95)
 
+(* A clean run passes the fairness gates; a copy with one field pushed
+   past its gate fails exactly that gate. *)
+let test_scenario_check_gates () =
+  let r = Vf.Scenario.run ~nics:1 ~vfs:8 ~cycles:16 ~seed:42 () in
+  let check ?min_jain ?max_err_pct name want r' =
+    Alcotest.(check (list string)) name want (Vf.Scenario.check ?min_jain ?max_err_pct r')
+  in
+  check "a small default run passes" [] r;
+  check "jain" [ "jain 0.9000 below floor 0.9500" ] { r with Vf.Scenario.jain_min = 0.9 };
+  check "share error" [ "share error 6.00% above ceiling 5.00%" ] { r with Vf.Scenario.max_rel_err = 0.06 };
+  check ~min_jain:1.0 "explicit floor" [ "jain 0.9990 below floor 1.0000" ] { r with Vf.Scenario.jain_min = 0.999 };
+  check ~max_err_pct:1.0 "explicit ceiling" [ "share error 2.00% above ceiling 1.00%" ]
+    { r with Vf.Scenario.max_rel_err = 0.02 }
+
 let suite =
   [
     Alcotest.test_case "attach/detach lifecycle" `Quick test_attach_detach_lifecycle;
@@ -289,5 +303,6 @@ let suite =
     Alcotest.test_case "vfplace per-NIC grouping" `Quick test_vfplace_per_nic_grouping;
     Alcotest.test_case "node VF slot accounting" `Quick test_node_vf_accounting;
     Alcotest.test_case "scenario deterministic" `Quick test_scenario_deterministic;
+    Alcotest.test_case "scenario check gates" `Quick test_scenario_check_gates;
     Alcotest.test_case "scenario weighted shares converge" `Slow test_scenario_weighted_shares_converge;
   ]
