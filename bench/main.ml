@@ -1023,7 +1023,7 @@ let oracle_section () =
   Printf.printf "%-12s %10s %10s %10s %12s  violations by class\n" "mode" "ops" "executed" "found" "ops/sec";
   List.iter
     (fun mode ->
-      let id = Oracle.Campaign.mode_id mode in
+      let id = Nicsim.Machine.mode_id mode in
       let r, dt = timed (fun () -> Oracle.Campaign.run ~mode ~ops ~seed ()) in
       let rate = if dt > 0. then float_of_int ops /. dt else 0. in
       let found = List.length r.Oracle.Campaign.violations in
@@ -1040,7 +1040,7 @@ let oracle_section () =
       List.iter
         (fun (cls, n) -> m (Oracle.Refmodel.cls_to_string cls) (float_of_int n))
         (Oracle.Campaign.counts r))
-    Oracle.Campaign.all_modes;
+    Nicsim.Machine.all_modes;
   print_endline "expectation: every commodity mode reports >=1 class; snic stays (clean)"
 
 (* ------------------------------------------------------------------ *)
@@ -1165,7 +1165,7 @@ let ddos_section () =
   metric "ddos.attack_pkts" (float_of_int r.Fleet.Chaos.d_attack_pkts);
   List.iter
     (fun (mr : Fleet.Chaos.ddos_mode_report) ->
-      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Oracle.Campaign.mode_id mr.Fleet.Chaos.dm_mode) name) v in
+      let m name v = metric (Printf.sprintf "ddos.%s.%s" (Nicsim.Machine.mode_id mr.Fleet.Chaos.dm_mode) name) v in
       let flag name b = m name (if b then 1. else 0.) in
       m "goodput_ratio" mr.Fleet.Chaos.dm_goodput_ratio;
       m "unprotected_ratio" mr.Fleet.Chaos.dm_unprotected_ratio;
@@ -1206,16 +1206,11 @@ let fabric_section () =
   m "replay_rejected" (float_of_int r.Fleet.Chaos.f_replay_rejected);
   m "stale_rejected" (float_of_int r.Fleet.Chaos.f_stale_rejected);
   m "tamper_rejected" (float_of_int r.Fleet.Chaos.f_tamper_rejected);
-  flag "adversary_all_rejected"
-    (r.Fleet.Chaos.f_replay_rejected = r.Fleet.Chaos.f_replay_sent
-    && r.Fleet.Chaos.f_stale_rejected = r.Fleet.Chaos.f_stale_sent
-    && r.Fleet.Chaos.f_tamper_rejected = r.Fleet.Chaos.f_tamper_sent);
+  flag "adversary_all_rejected" (Fleet.Chaos.adversary_all_rejected r);
   m "state_replayed" (float_of_int r.Fleet.Chaos.f_state_replayed);
   m "state_recovered" (float_of_int r.Fleet.Chaos.f_state_recovered);
   flag "failed_over" r.Fleet.Chaos.f_failed_over;
-  flag "fail_closed"
-    (r.Fleet.Chaos.f_misstage_rejected && r.Fleet.Chaos.f_clone_rejected
-    && ((not config.Fleet.Chaos.f_kill) || r.Fleet.Chaos.f_dead_establish_refused));
+  flag "fail_closed" (Fleet.Chaos.fail_closed r);
   (* The same run at 1 and 4 domains must produce the same summary —
      the rack boot is the only fanned-out stage and it is seeded. *)
   let digest domains =
@@ -1243,14 +1238,14 @@ let par_section () =
   let cores = Par.Engine.available_domains () in
   let shards = 8 in
   let ops = if fast then 2_000 else 10_000 in
-  let mode = match Oracle.Campaign.mode_of_id "se-s" with Some m -> m | None -> assert false in
+  let mode = match Nicsim.Machine.mode_of_id "se-s" with Some m -> m | None -> assert false in
   let m name v = metric ("par." ^ name) v in
   (* One oracle campaign per shard, shard seeds derived from --seed;
      the same workload at every fan-out, so the digest of the reports
      (merged in shard order) must be identical at every curve point. *)
   let curve = List.filter (fun d -> d <= max_domains) [ 1; 2; 4; 8 ] in
   Printf.printf "%d shards x %d ops each (oracle %s), %d core(s) available\n" shards ops
-    (Oracle.Campaign.mode_id mode) cores;
+    (Nicsim.Machine.mode_id mode) cores;
   Printf.printf "%8s %12s %12s %10s %12s\n" "domains" "ops/sec" "speedup" "efficiency" "digest";
   let points =
     List.map

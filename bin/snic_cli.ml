@@ -392,7 +392,6 @@ let chaos_cmd =
     | Ok policy ->
       let config =
         {
-          Fleet.Chaos.default_config with
           Fleet.Chaos.seed = Option.value seed ~default:Fleet.Chaos.default_config.Fleet.Chaos.seed;
           n_nics = nics;
           n_tenants = tenants;
@@ -513,7 +512,7 @@ let read_file path =
   s
 
 let oracle_cmd =
-  let mode_enum = Arg.enum (List.map (fun m -> (Oracle.Campaign.mode_id m, m)) Oracle.Campaign.all_modes) in
+  let mode_enum = Arg.enum (List.map (fun m -> (Nicsim.Machine.mode_id m, m)) Nicsim.Machine.all_modes) in
   let mode =
     Arg.(value & opt (some mode_enum) None
          & info [ "mode" ] ~docv:"MODE" ~doc:"NIC mode: se-s|se-um|se-um-xk|agilio|bluefield|snic")
@@ -812,7 +811,6 @@ let fabric_cmd =
     | _ -> ());
     let config =
       {
-        Fleet.Chaos.default_fabric_config with
         Fleet.Chaos.f_seed = Option.value seed ~default:Fleet.Chaos.default_fabric_config.Fleet.Chaos.f_seed;
         f_nics = nics;
         f_flows = flows;

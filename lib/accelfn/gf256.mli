@@ -10,10 +10,6 @@ val div : int -> int -> int
 (** [div a b] raises [Division_by_zero] when [b = 0]. *)
 
 val inv : int -> int
-val pow : int -> int -> int
 
-(** The field generator (2). *)
-val generator : int
-
-(** [exp k] is generator^k. *)
+(** [exp k] is 2^k, 2 being the field generator. *)
 val exp : int -> int

@@ -17,7 +17,3 @@ val decompress : string -> string
 
 (** [ratio s] is [compressed length / original length] (1.0 for empty). *)
 val ratio : string -> float
-
-val window_size : int
-val max_match : int
-val min_match : int

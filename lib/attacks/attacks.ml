@@ -221,14 +221,7 @@ let bus_dos policy =
 let matrix () =
   List.map
     (fun mode -> (Machine.mode_name mode, packet_corruption mode, ruleset_stealing mode))
-    [
-      Machine.Liquidio_se_s;
-      Machine.Liquidio_se_um { nf_xkphys = true };
-      Machine.Liquidio_se_um { nf_xkphys = false };
-      Machine.Agilio;
-      Machine.Bluefield;
-      Machine.Snic;
-    ]
+    Machine.all_modes
 
 type covert_result = { policy : Bus.policy; bits : int; decoded : int; accuracy : float }
 

@@ -65,5 +65,3 @@ let find name = List.find_opt (fun r -> String.equal r.name name) all
 let reproduces mode r =
   let report = Oracle.Campaign.replay ~mode r.ops in
   List.exists (fun (v : Oracle.Refmodel.violation) -> v.cls = r.expected) report.Oracle.Campaign.violations
-
-let trace mode r = Oracle.Campaign.trace_to_string ~mode ~slots:Oracle.Campaign.default_slots r.ops

@@ -29,7 +29,3 @@ val find : string -> replay option
 (** [reproduces mode r] replays [r.ops] on a fresh machine in [mode]
     and reports whether a violation of class [r.expected] fired. *)
 val reproduces : Nicsim.Machine.mode -> replay -> bool
-
-(** [trace mode r] renders the replay as a [snic_cli oracle --replay]
-    trace file. *)
-val trace : Nicsim.Machine.mode -> replay -> string

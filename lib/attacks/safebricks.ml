@@ -26,7 +26,7 @@ let contains hay needle =
 
 let safebricks_deployment () =
   let host = Host.Enclave.make_host ~mem_bytes:(16 * 1024 * 1024) ~epc_bytes:(4 * 1024 * 1024) in
-  let enclave = Host.Enclave.create host ~name:"safebricks-fw" in
+  let enclave = Host.Enclave.create host in
   (match Host.Enclave.add_page enclave "firewall code+rules v1" with Ok () -> () | Error e -> failwith e);
   (match Host.Enclave.init enclave with Ok _ -> () | Error e -> failwith e);
   (* 1. The NIC tries to DMA straight into the enclave: hardware refuses

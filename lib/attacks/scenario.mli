@@ -14,7 +14,6 @@ type t = {
 }
 
 val victim_id : int
-val attacker_id : int
 
 (** [setup mode] builds the machine and both tenants; the victim gets a
     packet pipeline with a catch-all switching rule. *)

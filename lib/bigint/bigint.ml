@@ -240,7 +240,6 @@ let divmod a b =
   end
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 (* [bits_at a pos width] is the [width]-bit field of [a] starting at bit
@@ -409,7 +408,10 @@ let random state ~bits =
 
 let small_primes = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67; 71; 73; 79; 83; 89; 97 ]
 
-let is_probable_prime ?(rounds = 24) state n =
+(* Miller–Rabin random bases per test. *)
+let mr_rounds = 24
+
+let is_probable_prime state n =
   if compare n two < 0 then false
   else if List.exists (fun p -> equal n (of_int p)) small_primes then true
   else if List.exists (fun p -> is_zero (rem n (of_int p))) small_primes then false
@@ -442,7 +444,7 @@ let is_probable_prime ?(rounds = 24) state n =
         if witness a then false else trial (k - 1)
       end
     in
-    trial rounds
+    trial mr_rounds
   end
 
 let random_prime state ~bits =
@@ -508,5 +510,3 @@ let to_bytes_be ~len a =
     Bytes.set b (len - 1 - k) (Char.chr (bits_at a (k * 8) 8))
   done;
   Bytes.to_string b
-
-let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)

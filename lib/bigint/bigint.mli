@@ -53,7 +53,6 @@ val mul : t -> t -> t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero]. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val shift_left : t -> int -> t
@@ -82,11 +81,9 @@ val modinv : t -> t -> t option
 (** [random state ~bits] draws a uniform number in [[0, 2^bits)]. *)
 val random : Random.State.t -> bits:int -> t
 
-(** Miller–Rabin with [rounds] random bases (default 24). *)
-val is_probable_prime : ?rounds:int -> Random.State.t -> t -> bool
+(** Miller–Rabin with 24 random bases. *)
+val is_probable_prime : Random.State.t -> t -> bool
 
 (** [random_prime state ~bits] draws an odd probable prime with exactly
     [bits] bits. Raises [Invalid_argument] when [bits < 2]. *)
 val random_prime : Random.State.t -> bits:int -> t
-
-val pp : Format.formatter -> t -> unit

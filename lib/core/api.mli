@@ -61,9 +61,6 @@ val destroy_error_to_string : destroy_error -> string
 (** [nf_destroy t ~id] — Table 1's [NF_destroy(nf_id)]. *)
 val nf_destroy : t -> id:int -> (unit, destroy_error) result
 
-(** [inject t frame] puts a frame on the simulated wire (RX path). *)
-val inject : t -> Bytes.t -> (int, string) result
-
 val inject_packet : t -> Net.Packet.t -> (int, string) result
 
 (** [inject_batch t frames] delivers a list of frames in order through

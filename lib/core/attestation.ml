@@ -18,7 +18,8 @@ let attester_of_nf instr ~id =
 
 type responder = { secret : Crypto.Dh.secret }
 
-let respond rng ?(group = Crypto.Dh.sim_768) attester ~nonce =
+let respond rng attester ~nonce =
+  let group = Crypto.Dh.sim_768 in
   let secret, dh_public = Crypto.Dh.keypair rng group in
   let payload = Instructions.quote_payload ~measurement:attester.measurement ~group ~dh_public ~nonce in
   let signature = Identity.sign_quote attester.identity payload in

@@ -30,8 +30,9 @@ val attester_of_nf : Instructions.t -> id:int -> (attester, Instructions.error) 
 (** Prover state holding the ephemeral DH secret. *)
 type responder
 
-(** [respond rng ?group attester ~nonce] performs the prover side. *)
-val respond : Random.State.t -> ?group:Crypto.Dh.group -> attester -> nonce:string -> responder * quote
+(** [respond rng attester ~nonce] performs the prover side over the
+    {!Crypto.Dh.sim_768} group. *)
+val respond : Random.State.t -> attester -> nonce:string -> responder * quote
 
 (** [responder_key r ~verifier_share] derives the 32-byte session key
     after the verifier's g^y arrives. *)

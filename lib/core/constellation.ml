@@ -77,5 +77,3 @@ let recv ch ~at ciphertext =
   | Some pt ->
     ch.next_recv.(from) <- Int64.add seq 1L;
     Ok pt
-
-let channel_key ch = ch.key

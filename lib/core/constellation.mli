@@ -48,6 +48,3 @@ val connect :
 val send : channel -> from:int -> string -> string
 
 val recv : channel -> at:int -> string -> (string, string) result
-
-(** The shared key (for tests). *)
-val channel_key : channel -> string

@@ -1,5 +1,3 @@
-type t = Crypto.Sha256.ctx
-
 let start () = Crypto.Sha256.init ()
 
 let field ctx tag payload =

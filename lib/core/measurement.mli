@@ -6,25 +6,10 @@
     digest is what nf_attest signs, so a NIC OS that tampers with any
     input produces a measurement the remote verifier will reject. *)
 
-type t
-
-val start : unit -> t
-
-(** Each [record_*] absorbs a length-prefixed, tagged encoding, so
+(** [of_config] builds the whole 32-byte measurement in one step — what
+    a remote verifier does to compute the expected value independently.
+    Each piece is absorbed as a length-prefixed, tagged encoding, so
     distinct field sequences can never collide by concatenation. *)
-val record_image : t -> string -> unit
-
-val record_cores : t -> int list -> unit
-val record_memory : t -> base:int -> len:int -> unit
-val record_rule : t -> Nicsim.Pktio.rule_match -> unit
-val record_accel : t -> kind:Nicsim.Accel.kind -> clusters:int -> unit
-val record_vpp : t -> rx_bytes:int -> tx_bytes:int -> sched:Nicsim.Sched.policy -> unit
-
-(** The 32-byte digest. The measurement must not be used afterwards. *)
-val finish : t -> string
-
-(** [of_config] builds the whole measurement in one step — what a remote
-    verifier does to compute the expected value independently. *)
 val of_config :
   image:string ->
   cores:int list ->

@@ -20,12 +20,11 @@ module Verifier = struct
     expected : string option;
     nonce : string;
     mutable key : string option;
-    mutable peer_measurement : string option;
   }
 
   let start rng ~vendor_public ?expected_measurement () =
     let nonce = String.init 16 (fun _ -> Char.chr (Random.State.int rng 256)) in
-    let t = { rng; vendor_public; expected = expected_measurement; nonce; key = None; peer_measurement = None } in
+    let t = { rng; vendor_public; expected = expected_measurement; nonce; key = None } in
     (t, Wire.encode [ tag_hello; nonce ])
 
   let on_quote t bytes =
@@ -38,7 +37,6 @@ module Verifier = struct
     | Error e -> Error (Attestation.verify_error_to_string e)
     | Ok verified ->
       t.key <- Some verified.Attestation.key;
-      t.peer_measurement <- Some verified.Attestation.quote_measurement;
       Ok (Wire.encode [ tag_share; Bigint.to_hex verified.Attestation.verifier_share ])
 
   let on_finished t bytes =
@@ -52,7 +50,6 @@ module Verifier = struct
     | _ -> Error "malformed finished message"
 
   let key t = t.key
-  let peer_measurement t = t.peer_measurement
 end
 
 module Prover = struct

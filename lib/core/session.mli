@@ -32,7 +32,6 @@ module Verifier : sig
   (** The session key; available after [on_quote] succeeds. *)
   val key : t -> string option
 
-  val peer_measurement : t -> string option
 end
 
 module Prover : sig

@@ -85,35 +85,6 @@ let zip_decompress t ~now data =
     | exception Invalid_argument e -> Error e
   end
 
-(* Streaming variant: the engine pulls its input straight out of the
-   function's RAM through the cluster's locked TLB bank and deposits the
-   output the same way — the bulk datapath end to end, no staging strings
-   in the caller. Offsets are region-relative (the cluster TLB maps the
-   function's region at [vbase], same as the cores). *)
-let stream_owned t kind ~now ~src_off ~src_len ~dst_off ~f =
-  match owned_cluster t kind with
-  | Error e -> Error e
-  | Ok cluster -> begin
-    let a = Machine.accel (m t) kind in
-    let vbase = t.handle.Instructions.vbase in
-    match
-      Accel.stream a ~cluster ~now ~mem:(Machine.mem (m t)) ~src:(vbase + src_off) ~src_len
-        ~dst:(vbase + dst_off) ~f
-    with
-    | Error e -> Error (Accel.stream_error_to_string e)
-    | Ok (written, done_at) ->
-      if Accel.take_garbage a then Error (Printf.sprintf "%s cluster returned garbage output" (Accel.kind_name kind))
-      else Ok (written, done_at)
-  end
-
-let zip_compress_stream t ~now ~src_off ~src_len ~dst_off =
-  stream_owned t Accel.Zip ~now ~src_off ~src_len ~dst_off ~f:Accelfn.Lz77.compress
-
-let zip_decompress_stream t ~now ~src_off ~src_len ~dst_off =
-  match stream_owned t Accel.Zip ~now ~src_off ~src_len ~dst_off ~f:Accelfn.Lz77.decompress with
-  | r -> r
-  | exception Invalid_argument e -> Error e
-
 let raid_encode t ~now blocks =
   let bytes = Array.fold_left (fun acc b -> acc + String.length b) 0 blocks in
   match submit_owned t Accel.Raid ~now ~bytes with

@@ -24,8 +24,6 @@ val write_virt : t -> vaddr:int -> string -> (unit, Nicsim.Machine.fault) result
     function's own pages. *)
 val read_phys : t -> paddr:int -> len:int -> (string, Nicsim.Machine.fault) result
 
-val write_phys : t -> paddr:int -> string -> (unit, Nicsim.Machine.fault) result
-
 (** {2 The virtual packet pipeline} *)
 
 (** [rx t] pops the next received frame: (buffer paddr, length). *)
@@ -61,21 +59,6 @@ val dpi_submit : t -> now:int -> bytes:int -> (int, string) result
 val zip_compress : t -> now:int -> string -> (string * int, string) result
 
 val zip_decompress : t -> now:int -> string -> (string * int, string) result
-
-(** {3 Streaming accelerator I/O}
-
-    The engine reads its input from the function's own RAM through the
-    cluster's locked TLB bank and writes the result back the same way
-    (the bulk datapath end to end): one TLB translation per mapped run,
-    one page resolution per 4 KB. Offsets are relative to the function's
-    region base (the cluster TLB maps the region at the same [vbase] as
-    the cores). Returns (bytes written at [dst_off], completion time). *)
-
-val zip_compress_stream :
-  t -> now:int -> src_off:int -> src_len:int -> dst_off:int -> (int * int, string) result
-
-val zip_decompress_stream :
-  t -> now:int -> src_off:int -> src_len:int -> dst_off:int -> (int * int, string) result
 
 (** [raid_encode t ~now blocks] — P+Q parity on an owned RAID cluster. *)
 val raid_encode : t -> now:int -> string array -> (Accelfn.Raid.stripe * int, string) result

@@ -11,30 +11,12 @@
     Mpps of three-year capacity — the quantity behind "S-NIC preserves
     most of the TCO advantage". *)
 
-type deployment = {
-  name : string;
-  core_ghz : float;
-  cycles_per_packet : float;
-  pcie_ns_each_way : float; (* 0 for on-NIC processing *)
-  core_tco_usd : float; (* 3-year $/core (§5.2) *)
-}
-
-val host_x86 : deployment
-val smartnic : deployment
-
-(** [snic ?ipc_degradation_pct ?tco_overhead_pct ()] derives the S-NIC
-    deployment from [smartnic] (defaults: the paper's worst-case 1.7%
-    and the §5.2 TCO numbers). *)
-val snic : ?ipc_degradation_pct:float -> ?tco_overhead_pct:float -> unit -> deployment
-
 type result = {
   deployment : string;
   latency_ns : float; (* per-packet, including PCIe *)
   kpps_per_core : float;
   usd_per_mpps : float; (* 3-year cost per Mpps of capacity *)
 }
-
-val evaluate : deployment -> result
 
 (** All three, host first. *)
 val comparison : unit -> result list

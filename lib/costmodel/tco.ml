@@ -2,7 +2,7 @@ type device = { name : string; purchase_usd : float; peak_power_w : float; cores
 
 let liquidio = { name = "Marvell LiquidIO (12 cores)"; purchase_usd = 420.; peak_power_w = 24.7; cores = 12 }
 let host_xeon = { name = "Intel E5-2680 v3 (12 cores)"; purchase_usd = 1745.; peak_power_w = 113.; cores = 12 }
-let usd_per_kwh = 0.0733
+let usd_per_kwh = 0.0733 (* average U.S. datacenter electricity price used by the paper *)
 let years = 3.
 
 let tco_per_core d =

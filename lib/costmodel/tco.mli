@@ -16,12 +16,7 @@ type device = {
 val liquidio : device
 val host_xeon : device
 
-(** Average U.S. datacenter electricity price used by the paper. *)
-val usd_per_kwh : float
-
-val years : float
-
-(** [tco_per_core device] in USD over [years]. *)
+(** [tco_per_core device] in USD over three years. *)
 val tco_per_core : device -> float
 
 (** [snic_variant ?area_overhead_pct ?power_overhead_pct device] scales

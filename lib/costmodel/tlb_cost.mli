@@ -22,6 +22,3 @@ val power_w : int -> float
 val a9_baseline_area_mm2 : float
 
 val a9_baseline_power_w : float
-
-(** Anchor points used by the model, as (entries, area, power). *)
-val anchors : (int * float * float) list

@@ -47,5 +47,3 @@ let element_bytes group e =
 let shared_key ~secret ~peer =
   let z = shared ~secret ~peer in
   Sha256.digest (element_bytes secret.group z)
-
-let group_of_secret s = s.group

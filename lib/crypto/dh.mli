@@ -23,9 +23,3 @@ val shared : secret:secret -> peer:public -> Bigint.t
 (** [shared_key ~secret ~peer] hashes the shared element into a 32-byte
     symmetric key. *)
 val shared_key : secret:secret -> peer:public -> string
-
-(** Serialize a group element as fixed-width big-endian bytes for hashing
-    and signing. *)
-val element_bytes : group -> Bigint.t -> string
-
-val group_of_secret : secret -> group

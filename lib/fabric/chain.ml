@@ -1,21 +1,13 @@
-type stage = { st_nic : int; st_name : string; st_nf : Nf.Types.t }
-
 type outcome =
   | Delivered of Net.Packet.t
   | Dropped_at of int
   | Link_reject of { hop : int; error : Channel.recv_error }
 
-let outcome_to_string = function
-  | Delivered _ -> "delivered"
-  | Dropped_at i -> Printf.sprintf "dropped at stage %d" i
-  | Link_reject { hop; error } ->
-    Printf.sprintf "link %d rejected the frame: %s" hop (Channel.recv_error_to_string error)
-
 (* Chrome-trace track range for fabric hops; QoS stopped at 922. *)
 let hop_track_base = 930
 
 type t = {
-  mutable c_stages : stage array;
+  mutable c_stages : Nf.Types.t array;
   mutable c_links : (Channel.tx * Channel.rx) array;
   mutable c_hops : int;
   mutable c_ts : int; (* deterministic span clock, one tick per hop *)
@@ -30,22 +22,13 @@ let create ?(sink = Obs.null) stages ~links =
     invalid_arg "Fabric.Chain.create: need exactly one link between consecutive stages";
   { c_stages = stages; c_links = links; c_hops = 0; c_ts = 0; c_sink = sink }
 
-let stages t = Array.length t.c_stages
-let stage_nic t i = t.c_stages.(i).st_nic
-let stage_name t i = t.c_stages.(i).st_name
 let hop_count t = t.c_hops
 
 let sum_links t f = Array.fold_left (fun acc (_, rx) -> acc + f rx) 0 t.c_links
 let mac_failures t = sum_links t Channel.mac_failures
-let replay_rejects t = sum_links t Channel.replay_rejects
-let stale_rejects t = sum_links t Channel.stale_rejects
 
 let check_hop t hop =
   if hop < 0 || hop >= Array.length t.c_links then invalid_arg "Fabric.Chain: hop index out of range"
-
-let link_tx t ~hop =
-  check_hop t hop;
-  fst t.c_links.(hop)
 
 let link_rx t ~hop =
   check_hop t hop;
@@ -79,7 +62,7 @@ let cross t ~hop pkt =
 let feed t pkt =
   let n = Array.length t.c_stages in
   let rec go i pkt =
-    match t.c_stages.(i).st_nf.Nf.Types.process pkt with
+    match t.c_stages.(i).Nf.Types.process pkt with
     | Nf.Types.Drop _ -> Dropped_at i
     | Nf.Types.Forward pkt ->
       if i = n - 1 then Delivered pkt
@@ -111,6 +94,6 @@ let relink t ~hop stage (tx, rx) =
         match Net.Packet.parse (Bytes.of_string payload) with
         | Error _ -> n
         | Ok pkt ->
-          ignore (stage.st_nf.Nf.Types.process pkt);
+          ignore (stage.Nf.Types.process pkt);
           n + 1))
     0 backlog

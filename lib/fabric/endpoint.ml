@@ -9,9 +9,6 @@ type t = {
 let make ?(alive = fun () -> true) ?expected_measurement ~nic ~insns ~nf () =
   { e_nic = nic; e_insns = insns; e_nf = nf; e_expected = expected_measurement; e_alive = alive }
 
-let nic t = t.e_nic
-let nf t = t.e_nf
-
 type registry = (string, int) Hashtbl.t
 
 let registry_create () : registry = Hashtbl.create 16

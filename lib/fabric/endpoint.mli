@@ -18,9 +18,6 @@ type t
 val make :
   ?alive:(unit -> bool) -> ?expected_measurement:string -> nic:int -> insns:Snic.Instructions.t -> nf:int -> unit -> t
 
-val nic : t -> int
-val nf : t -> int
-
 (** Registry of EK identities seen across establishments.  One EK may
     serve many channels on its own NIC; the same EK surfacing under a
     different NIC id is a cloned identity and is refused. *)

@@ -1,8 +1,8 @@
 (** The fabric wire format: one MAC'd, length-prefixed frame.
 
     Every inter-NIC message travels as
-    [magic | chan u32 | seq u32 | len u32 | payload | mac], all integers
-    big-endian.  The MAC is HMAC-SHA256 over the header and payload under
+    [magic "SNF1" | chan u32 | seq u32 | len u32 | payload | mac], all
+    integers big-endian.  The MAC is HMAC-SHA256 over the header and payload under
     the channel's attestation-derived session key, so a frame only
     authenticates against the channel it was sent on and the key both
     endpoints derived from their handshakes.  Decoding is strict in the
@@ -12,19 +12,13 @@
 
 type t = { chan : int; seq : int; payload : string }
 
-(** Frame header magic, ["SNF1"]. *)
-val magic : string
-
 (** Hard ceiling on [payload] length (64 KiB): a corrupt length field
     fails fast instead of asking the decoder to allocate garbage. *)
 val max_payload : int
 
-(** Encoded overhead around the payload: magic + 3 integers + MAC. *)
-val overhead : int
-
 type error =
   | Truncated of { need : int; got : int }  (** input shorter than claimed *)
-  | Bad_magic  (** first four bytes are not {!magic} *)
+  | Bad_magic  (** first four bytes are not ["SNF1"] *)
   | Oversize of int  (** length field beyond {!max_payload} *)
   | Bad_mac  (** MAC mismatch under the given key *)
   | Trailing of int  (** [decode_exact]: bytes left after one frame *)

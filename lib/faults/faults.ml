@@ -96,7 +96,6 @@ let rate rates = function
   | Dram_flip -> rates.dram_flip
 
 type t = {
-  plan_seed : int;
   plan_rates : rates;
   mutable state : int; (* SplitMix-style stream, 62-bit arithmetic *)
   mutable seq : int;
@@ -106,16 +105,12 @@ type t = {
 
 let plan ~seed rates =
   {
-    plan_seed = seed;
     plan_rates = rates;
     state = (seed * 0x3C79AC492BA7B653) land max_int;
     seq = 0;
     events = [];
     counts = Array.make (List.length all_sites) 0;
   }
-
-let rates t = t.plan_rates
-let seed t = t.plan_seed
 
 (* 62-bit-safe SplitMix64-style mixer (same trick as lib/trace/rng.ml),
    so the arithmetic is identical on every OCaml int width. *)

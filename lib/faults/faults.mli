@@ -65,9 +65,6 @@ type t
     consultations => same firings, same log. *)
 val plan : seed:int -> rates -> t
 
-val rates : t -> rates
-val seed : t -> int
-
 (** [roll t site] — draw once against [site]'s rate; [true] means the
     fault fires (the caller then builds a detail string and {!record}s
     it). Rate 0.0 returns [false] without consuming randomness. *)
@@ -86,9 +83,6 @@ val record : t -> device:string -> site -> detail:string -> fault_event
 val fire : t -> device:string -> site -> detail:string -> fault_event option
 
 (** {2 The injection log} *)
-
-(** Events in firing order. *)
-val log : t -> fault_event list
 
 (** Firings of one site so far. *)
 val count : t -> site -> int

@@ -12,8 +12,6 @@ type config = {
   dram_flips_per_round : int;
   kill_nics : int;
   kill_nfs : int;
-  bytes_per_mb : int;
-  supervisor : Supervisor.config;
 }
 
 let default_config =
@@ -29,9 +27,11 @@ let default_config =
     dram_flips_per_round = 2;
     kill_nics = 1;
     kill_nfs = 2;
-    bytes_per_mb = 1024;
-    supervisor = Supervisor.default_config;
   }
+
+(* Every scenario rack provisions tenant memory at 1024 bytes per
+   profiled MB. *)
+let bytes_per_mb = 1024
 
 (* Gray failures cluster in real racks: every [flaky_stride]-th NIC gets
    the full storm, the rest only a background drizzle — health scoring
@@ -78,12 +78,6 @@ type report = {
 (* The messages of the gates whose violation condition holds, in order:
    every scenario's check is a list of (violated, message) pairs. *)
 let violations gates = List.filter_map (fun (violated, msg) -> if violated then Some msg else None) gates
-
-(* Spread the failure budget over the gaps between rounds (same shape as
-   Scenario): gap g of R-1 gets the g-th share. *)
-let budget_for ~total ~gaps ~gap =
-  if gaps <= 0 then if gap = 0 then total else 0
-  else (total * (gap + 1) / gaps) - (total * gap / gaps)
 
 let node_plan config node =
   let id = Node.id node in
@@ -136,7 +130,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
         n_nics = config.n_nics;
         n_tenants = config.n_tenants;
         policy = config.policy;
-        bytes_per_mb = config.bytes_per_mb;
+        bytes_per_mb;
       }
   in
   let initial_attested = Orchestrator.attested_count orch in
@@ -144,7 +138,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   Array.iter
     (fun node -> Machine.set_faults (Snic.Api.machine (Node.api node)) (node_plan config node))
     (Orchestrator.nodes orch);
-  let sup = Supervisor.create ~seed:config.seed orch config.supervisor in
+  let sup = Supervisor.create ~seed:config.seed orch in
   let chaos_rng = Trace.Rng.create ~seed:(config.seed lxor 0xC4A05) in
   let fail_rng = Trace.Rng.create ~seed:(config.seed lxor 0xDEAD) in
   let gaps = config.rounds - 1 in
@@ -153,7 +147,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   let max_unatt = ref 0 in
   let injected_total = ref 0 and forwarded_total = ref 0 in
   for i = 0 to config.rounds - 1 do
-    let traffic = Frontend.replay orch ~seed:(config.seed + (131 * i)) ~packets:config.packets_per_round () in
+    let traffic = Frontend.replay orch ~seed:(config.seed + (131 * i)) ~packets:config.packets_per_round in
     injected_total := !injected_total + traffic.Frontend.injected;
     forwarded_total := !forwarded_total + traffic.Frontend.forwarded;
     for _ = 1 to config.dram_flips_per_round do
@@ -162,8 +156,8 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
     let failures =
       if i >= gaps then None
       else begin
-        let kn = budget_for ~total:config.kill_nics ~gaps ~gap:i in
-        let kf = budget_for ~total:config.kill_nfs ~gaps ~gap:i in
+        let kn = Failure.budget_for ~total:config.kill_nics ~gaps ~gap:i in
+        let kf = Failure.budget_for ~total:config.kill_nfs ~gaps ~gap:i in
         if kn = 0 && kf = 0 then None
         else begin
           let r = Failure.inject orch fail_rng ~kill_nics:kn ~kill_nfs:kf in
@@ -245,7 +239,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   in
   (report, orch)
 
-let run ?domains config = fst (run_with ?domains config)
+let run config = fst (run_with config)
 
 (* Sharded storms: shard i replays the identical scenario under its
    derived seed, on a private rack and optional private sink; the merge
@@ -272,7 +266,6 @@ let run_many ?(domains = 1) ?(record = false) ~shards config =
 
 type qos_config = {
   q_seed : int;
-  q_nics : int;
   q_tenants : int; (* tenant 0 is the aggressor; >= 2 *)
   q_rounds : int;
   q_requests : int; (* victim requests per tenant per round *)
@@ -280,15 +273,13 @@ type qos_config = {
   q_epoch : int; (* qos accounting epoch, cycles *)
   q_slo : int; (* victim latency SLO, cycles *)
   q_starve : bool; (* zero structural slack: guarantees only *)
-  q_policy : Policy.t;
-  q_bytes_per_mb : int;
-  q_supervisor : Supervisor.config;
 }
+
+let qos_nics = 4
 
 let default_qos_config =
   {
     q_seed = 42;
-    q_nics = 4;
     q_tenants = 8;
     q_rounds = 8;
     q_requests = 40;
@@ -296,9 +287,6 @@ let default_qos_config =
     q_epoch = 10_000;
     q_slo = 2_000;
     q_starve = false;
-    q_policy = Policy.First_fit;
-    q_bytes_per_mb = 1024;
-    q_supervisor = Supervisor.default_config;
   }
 
 (* Request shapes (credits): victims are small and latency-sensitive,
@@ -559,13 +547,13 @@ let run_qos ?(sink = Obs.null) config =
     Orchestrator.create ~sink
       {
         Orchestrator.seed = config.q_seed;
-        n_nics = config.q_nics;
+        n_nics = qos_nics;
         n_tenants = config.q_tenants;
-        policy = config.q_policy;
-        bytes_per_mb = config.q_bytes_per_mb;
+        policy = Policy.First_fit;
+        bytes_per_mb;
       }
   in
-  let sup = Supervisor.create ~seed:config.q_seed orch config.q_supervisor in
+  let sup = Supervisor.create ~seed:config.q_seed orch in
   let fabric0 = make_fabric config in
   let qos = make_arbiter config fabric0 in
   Qos.set_sink qos sink ~track_base:920;
@@ -639,7 +627,7 @@ let qos_summary r =
   let c = r.q_config in
   Printf.bprintf b
     "qos scenario: seed=%d nics=%d tenants=%d rounds=%d requests=%d factor=%d epoch=%d slo=%d starve=%b\n"
-    c.q_seed c.q_nics c.q_tenants c.q_rounds c.q_requests c.q_factor c.q_epoch c.q_slo c.q_starve;
+    c.q_seed qos_nics c.q_tenants c.q_rounds c.q_requests c.q_factor c.q_epoch c.q_slo c.q_starve;
   List.iter
     (fun o ->
       Printf.bprintf b
@@ -728,21 +716,9 @@ type ddos_config = {
   d_benign_flows : int;
   d_attack_factor : int; (* spoofed SYNs per benign packet *)
   d_packets_per_flow : int; (* benign data packets after the handshake *)
-  d_fp_bits : int; (* whitelist fingerprint bits *)
   d_log2_buckets : int; (* whitelist size: 2^k buckets x 4 slots *)
-  d_conntrack_entry_bytes : int; (* naive per-SYN state, unprotected pass *)
-  d_corrupt_period : int; (* tampered modes: one filter bit flip per k attack pkts *)
   d_modes : Machine.mode list;
 }
-
-let ddos_modes =
-  [
-    Machine.Liquidio_se_s;
-    Machine.Liquidio_se_um { nf_xkphys = true };
-    Machine.Agilio;
-    Machine.Bluefield;
-    Machine.Snic;
-  ]
 
 let default_ddos_config =
   {
@@ -750,22 +726,19 @@ let default_ddos_config =
     d_benign_flows = 256;
     d_attack_factor = 10;
     d_packets_per_flow = 4;
-    d_fp_bits = 12;
     d_log2_buckets = 10;
-    d_conntrack_entry_bytes = 64;
-    d_corrupt_period = 8;
-    d_modes = ddos_modes;
+    (* All five architectures; SE-UM runs with xkphys hiding. *)
+    d_modes = List.filter (fun m -> m <> Machine.Liquidio_se_um { nf_xkphys = false }) Machine.all_modes;
   }
 
-(* Short mode ids, kept in sync with [Oracle.Campaign.mode_id] (fleet
-   does not link the oracle, so the strings are mirrored here). *)
-let ddos_mode_id = function
-  | Machine.Liquidio_se_s -> "se-s"
-  | Machine.Liquidio_se_um { nf_xkphys = false } -> "se-um"
-  | Machine.Liquidio_se_um { nf_xkphys = true } -> "se-um-xk"
-  | Machine.Agilio -> "agilio"
-  | Machine.Bluefield -> "bluefield"
-  | Machine.Snic -> "snic"
+(* Whitelist fingerprint bits of the CuckooGuard pair (ddos and fabric). *)
+let fp_bits = 12
+
+(* Naive per-SYN state of the unprotected conntrack pass. *)
+let conntrack_entry_bytes = 64
+
+(* Tampered modes flip one filter bit per [corrupt_period] attack packets. *)
+let corrupt_period = 8
 
 type ddos_mode_report = {
   dm_mode : Machine.mode;
@@ -863,12 +836,12 @@ type ddos_pass = {
 let ddos_run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
   let key = Crypto.Hmac.derive ~secret:(Printf.sprintf "ddos-%08x" config.d_seed) ~label:"synp-cookie" in
   let proxy =
-    Nf.Syn_proxy.create ~filter_seed:(config.d_seed lxor 0xF17) ~fp_bits:config.d_fp_bits
+    Nf.Syn_proxy.create ~filter_seed:(config.d_seed lxor 0xF17) ~fp_bits
       ~log2_buckets:config.d_log2_buckets ~key ()
   in
   let proxy_nf = Nf.Syn_proxy.nf proxy in
   let tracker =
-    Nf.Cuckoo.nf_create ~seed:(config.d_seed lxor 0x7CF) ~fp_bits:config.d_fp_bits
+    Nf.Cuckoo.nf_create ~seed:(config.d_seed lxor 0x7CF) ~fp_bits
       ~log2_buckets:config.d_log2_buckets ()
   in
   let tracker_nf = Nf.Cuckoo.nf tracker in
@@ -925,7 +898,7 @@ let ddos_run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
                 whitelist until the fixed filter saturates. *)
              let ack = ddos_packet e ~payload:(Nf.Syn_proxy.ack_payload proxy e.flow) in
              match feed ack with Nf.Types.Forward _ -> incr forged | Nf.Types.Drop _ -> ());
-          if tampered && !attack_seen mod config.d_corrupt_period = 0 then begin
+          if tampered && !attack_seen mod corrupt_period = 0 then begin
             Nf.Cuckoo.corrupt (Nf.Syn_proxy.filter proxy) ~bit:(Trace.Rng.bits rng);
             incr flips
           end
@@ -951,16 +924,15 @@ let ddos_run_pass config ~sink ~events ~attack ~tampered ~key_stolen =
    cookie, budgeted at the same bytes the CuckooGuard pair reserves.  A
    flood fills the table once and benign handshakes behind it fail —
    classic state exhaustion. *)
-let ddos_run_unprotected config ~events ~budget_bytes =
-  let entry = config.d_conntrack_entry_bytes in
-  let budget = max 1 (budget_bytes / entry) in
+let ddos_run_unprotected ~events ~budget_bytes =
+  let budget = max 1 (budget_bytes / conntrack_entry_bytes) in
   let tbl = Net.Five_tuple.Table.create 1024 in
   let goodput = ref 0 and benign_dropped = ref 0 and peak = ref 0 and wanted = ref 0 in
   List.iter
     (fun (e : Trace.Attackgen.event) ->
       (match e.Trace.Attackgen.kind with
       | Trace.Attackgen.Syn ->
-        wanted := !wanted + entry;
+        wanted := !wanted + conntrack_entry_bytes;
         if not (Net.Five_tuple.Table.mem tbl e.flow) then
           if Net.Five_tuple.Table.length tbl < budget then Net.Five_tuple.Table.add tbl e.flow (ref false)
           else if e.benign then incr benign_dropped
@@ -972,14 +944,13 @@ let ddos_run_unprotected config ~events ~budget_bytes =
         match Net.Five_tuple.Table.find_opt tbl e.flow with
         | Some { contents = true } -> if e.benign then incr goodput
         | _ -> if e.benign then incr benign_dropped));
-      peak := max !peak (Net.Five_tuple.Table.length tbl * entry))
+      peak := max !peak (Net.Five_tuple.Table.length tbl * conntrack_entry_bytes))
     events;
   (!goodput, !benign_dropped, !peak, !wanted)
 
 let run_ddos ?(sink = Obs.null) config =
   if config.d_benign_flows < 1 then invalid_arg "Chaos.run_ddos: need at least 1 benign flow";
   if config.d_attack_factor < 1 then invalid_arg "Chaos.run_ddos: attack factor must be >= 1";
-  if config.d_corrupt_period < 1 then invalid_arg "Chaos.run_ddos: corrupt period must be >= 1";
   if config.d_modes = [] then invalid_arg "Chaos.run_ddos: need at least one mode";
   let events = ddos_events config in
   let digest = Trace.Attackgen.digest (fun f -> List.iter f events) in
@@ -992,7 +963,7 @@ let run_ddos ?(sink = Obs.null) config =
         let base = ddos_run_pass config ~sink:Obs.null ~events ~attack:false ~tampered:false ~key_stolen:false in
         let prot = ddos_run_pass config ~sink ~events ~attack:true ~tampered ~key_stolen in
         let ugood, _udrop, upeak, uwanted =
-          ddos_run_unprotected config ~events ~budget_bytes:prot.dp_reserved
+          ddos_run_unprotected ~events ~budget_bytes:prot.dp_reserved
         in
         let ratio over =
           if base.dp_goodput = 0 then 0. else float_of_int over /. float_of_int base.dp_goodput
@@ -1040,7 +1011,7 @@ let ddos_summary r =
   let c = r.d_config in
   Printf.bprintf b
     "ddos scenario: seed=%d benign_flows=%d attack_factor=%d pkts/flow=%d filter=2^%d buckets fp=%d bits\n"
-    c.d_seed c.d_benign_flows c.d_attack_factor c.d_packets_per_flow c.d_log2_buckets c.d_fp_bits;
+    c.d_seed c.d_benign_flows c.d_attack_factor c.d_packets_per_flow c.d_log2_buckets fp_bits;
   Printf.bprintf b "  traffic: %d benign pkts + %d attack pkts, events digest=%d\n" r.d_benign_pkts
     r.d_attack_pkts r.d_events_digest;
   List.iter
@@ -1048,7 +1019,7 @@ let ddos_summary r =
       Printf.bprintf b
         "  mode %-9s: tampered=%d key_stolen=%d goodput=%.4fx (%d/%d) unprotected=%.4fx attack_dropped=%d/%d \
 benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n"
-        (ddos_mode_id m.dm_mode)
+        (Machine.mode_id m.dm_mode)
         (if m.dm_tampered then 1 else 0)
         (if m.dm_key_stolen then 1 else 0)
         m.dm_goodput_ratio m.dm_goodput m.dm_baseline_goodput m.dm_unprotected_ratio m.dm_attack_dropped
@@ -1060,7 +1031,7 @@ benign_dropped=%d forged_admits=%d flips=%d load=%.4f mem=%dB peak=%dB flat=%d\n
   | m :: _ ->
     Printf.bprintf b "  unprotected conntrack: budget=%dB peak=%dB wanted=%dB (per-SYN state at %dB/entry)\n"
       m.dm_mem_reserved_bytes m.dm_unprotected_mem_peak_bytes m.dm_unprotected_mem_wanted_bytes
-      c.d_conntrack_entry_bytes
+      conntrack_entry_bytes
   | [] -> ());
   Printf.bprintf b "  invariants: snic_goodput=%.4f snic_mem_flat=%d snic_tampered=%d snic_key_stolen=%d\n"
     r.d_snic_goodput_ratio
@@ -1095,10 +1066,10 @@ type fabric_config = {
   f_reorder : int; (* adversarial re-deliveries of pre-window frames *)
   f_tamper : int; (* adversarial bit-flipped frames *)
   f_kill : bool; (* kill the tracker NIC mid-run and fail over *)
-  f_fp_bits : int; (* whitelist fingerprint bits *)
-  f_log2_buckets : int; (* whitelist size: 2^k buckets x 4 slots *)
-  f_bytes_per_mb : int;
 }
+
+(* Whitelist size of the split chain: 2^10 buckets x 4 slots. *)
+let fabric_log2_buckets = 10
 
 let default_fabric_config =
   {
@@ -1112,9 +1083,6 @@ let default_fabric_config =
     f_reorder = 24;
     f_tamper = 16;
     f_kill = true;
-    f_fp_bits = 12;
-    f_log2_buckets = 10;
-    f_bytes_per_mb = 1024;
   }
 
 type fabric_report = {
@@ -1222,7 +1190,7 @@ let fabric_run_pass config ~sink ~domains ~events ~kill ~adversary =
         n_nics = config.f_nics;
         n_tenants = 0;
         policy = Policy.First_fit;
-        bytes_per_mb = config.f_bytes_per_mb;
+        bytes_per_mb;
       }
   in
   let nodes = Orchestrator.nodes orch in
@@ -1248,19 +1216,18 @@ let fabric_run_pass config ~sink ~domains ~events ~kill ~adversary =
      failover must rebuild from the channel's replay buffer. *)
   let key = Crypto.Hmac.derive ~secret:(Printf.sprintf "fabric-%08x" config.f_seed) ~label:"synp-cookie" in
   let proxy =
-    Nf.Syn_proxy.create ~filter_seed:(config.f_seed lxor 0xF17) ~fp_bits:config.f_fp_bits
-      ~log2_buckets:config.f_log2_buckets ~key ()
+    Nf.Syn_proxy.create ~filter_seed:(config.f_seed lxor 0xF17) ~fp_bits
+      ~log2_buckets:fabric_log2_buckets ~key ()
   in
-  let tracker = ref (Nf.Cuckoo.nf_create ~seed:(config.f_seed lxor 0x7CF) ~fp_bits:config.f_fp_bits
-      ~log2_buckets:config.f_log2_buckets ())
+  let tracker = ref (Nf.Cuckoo.nf_create ~seed:(config.f_seed lxor 0x7CF) ~fp_bits
+      ~log2_buckets:fabric_log2_buckets ())
   in
   let _vnic_a, expected_a = fabric_place_stage nodes.(0) ~image:"fabric:synp:stage-0" in
   let vnic_b, expected_b = fabric_place_stage nodes.(1) ~image:"fabric:ckf:stage-1" in
   let ep_a = fabric_endpoint nodes.(0) _vnic_a ~expected:expected_a in
   let ep_b = fabric_endpoint nodes.(1) vnic_b ~expected:expected_b in
-  let stage_a = { Fabric.Chain.st_nic = 0; st_name = "synp-admit"; st_nf = Nf.Syn_proxy.nf proxy } in
-  let stage_b = { Fabric.Chain.st_nic = 1; st_name = "ckf-track"; st_nf = Nf.Cuckoo.nf !tracker } in
-  let chain = Fabric.Chain.create ~sink [ stage_a; stage_b ] ~links:[ establish ~chan:1 ep_a ep_b ] in
+  let stages = [ Nf.Syn_proxy.nf proxy; Nf.Cuckoo.nf !tracker ] in
+  let chain = Fabric.Chain.create ~sink stages ~links:[ establish ~chan:1 ep_a ep_b ] in
   let goodput = ref 0 in
   let admitted = Net.Five_tuple.Table.create 256 in
   let failed_over = ref false and dead_refused = ref false and state_replayed = ref 0 in
@@ -1281,13 +1248,13 @@ let fabric_run_pass config ~sink ~domains ~events ~kill ~adversary =
     let spare = nodes.(2) in
     let vnic_c, expected_c = fabric_place_stage spare ~image:"fabric:ckf:stage-1" in
     let ep_c = fabric_endpoint spare vnic_c ~expected:expected_c in
-    tracker := Nf.Cuckoo.nf_create ~seed:(config.f_seed lxor 0x7CF) ~fp_bits:config.f_fp_bits
-        ~log2_buckets:config.f_log2_buckets ();
-    let stage_c = { Fabric.Chain.st_nic = Node.id spare; st_name = "ckf-track"; st_nf = Nf.Cuckoo.nf !tracker } in
+    tracker := Nf.Cuckoo.nf_create ~seed:(config.f_seed lxor 0x7CF) ~fp_bits
+        ~log2_buckets:fabric_log2_buckets ();
     (* Frames captured off the dead link can only ever fail the new
        link's MAC — drop them so the adversarial pass exercises the live
        channel's window, not a stale key. *)
     captures := [];
+    let stage_c = Nf.Cuckoo.nf !tracker in
     let link = establish ~chan:2 ep_a ep_c in
     state_replayed := Fabric.Chain.relink chain ~hop:0 stage_c link;
     failed_over := true
@@ -1463,6 +1430,16 @@ let run_fabric_many ?(domains = 1) ~shards config =
 let fail_closed r =
   r.f_misstage_rejected && r.f_clone_rejected && ((not r.f_config.f_kill) || r.f_dead_establish_refused)
 
+(* The adversary's frame classes as (name, rejected, sent). *)
+let adversary_counts r =
+  [
+    ("replay", r.f_replay_rejected, r.f_replay_sent);
+    ("stale", r.f_stale_rejected, r.f_stale_sent);
+    ("tamper", r.f_tamper_rejected, r.f_tamper_sent);
+  ]
+
+let adversary_all_rejected r = List.for_all (fun (_, rejected, sent) -> rejected = sent) (adversary_counts r)
+
 let fabric_summary r =
   let b = Buffer.create 2048 in
   let c = r.f_config in
@@ -1493,16 +1470,19 @@ goodput_ratio=%.4f failover=%d fail_closed=%d\n"
 (* An authenticated channel must bounce every forged or replayed frame
    and never a benign one, and the failover must not cost goodput. *)
 let fabric_check ?(min_goodput = 0.9) r =
+  let adversary =
+    List.map
+      (fun (name, rejected, sent) -> (rejected <> sent, Printf.sprintf "%s rejections %d/%d" name rejected sent))
+      (adversary_counts r)
+  in
   violations
-    [
-      ( r.f_benign_mac_failures > 0,
-        Printf.sprintf "%d benign frame(s) tripped the authenticator" r.f_benign_mac_failures );
-      ( r.f_replay_rejected <> r.f_replay_sent,
-        Printf.sprintf "replay rejections %d/%d" r.f_replay_rejected r.f_replay_sent );
-      (r.f_stale_rejected <> r.f_stale_sent, Printf.sprintf "stale rejections %d/%d" r.f_stale_rejected r.f_stale_sent);
-      ( r.f_tamper_rejected <> r.f_tamper_sent,
-        Printf.sprintf "tamper rejections %d/%d" r.f_tamper_rejected r.f_tamper_sent );
-      (not (fail_closed r), "an establishment that had to be refused was accepted");
-      ( r.f_goodput_ratio < min_goodput,
-        Printf.sprintf "goodput ratio %.4f below floor %.4f" r.f_goodput_ratio min_goodput );
-    ]
+    ([
+       ( r.f_benign_mac_failures > 0,
+         Printf.sprintf "%d benign frame(s) tripped the authenticator" r.f_benign_mac_failures );
+     ]
+    @ adversary
+    @ [
+        (not (fail_closed r), "an establishment that had to be refused was accepted");
+        ( r.f_goodput_ratio < min_goodput,
+          Printf.sprintf "goodput ratio %.4f below floor %.4f" r.f_goodput_ratio min_goodput );
+      ])

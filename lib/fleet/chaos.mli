@@ -24,8 +24,6 @@ type config = {
   dram_flips_per_round : int;
   kill_nics : int; (* fail-stop budget across the run *)
   kill_nfs : int;
-  bytes_per_mb : int;
-  supervisor : Supervisor.config;
 }
 
 (** seed 42, 8 NICs / 24 tenants, 4 rounds × 400 packets, full storm on
@@ -68,16 +66,16 @@ type report = {
   quarantined_nics : int;
 }
 
-(** [run ?domains config] — [domains] (default 1) parallelizes the NIC
-    boot phase ({!Orchestrator.create}); the storm itself is sequential
-    and the report is byte-identical for every value. *)
-val run : ?domains:int -> config -> report
+(** [run config] — {!run_with} without a sink, on one domain. *)
+val run : config -> report
 
 (** [run_with ?sink ?domains config] also hands back the orchestrator
     for inspection.  When [sink] records ({!Obs.create}), every NIC
     traces its device events into it (one Chrome pid per NIC) and the
     fleet telemetry shares its registry — this is what [snic_cli trace]
-    uses. *)
+    uses.  [domains] (default 1) parallelizes the NIC boot phase
+    ({!Orchestrator.create}); the storm itself is sequential and the
+    report is byte-identical for every value. *)
 val run_with : ?sink:Obs.sink -> ?domains:int -> config -> report * Orchestrator.t
 
 (** [run_many ?domains ?record ~shards config] runs [shards] independent
@@ -105,7 +103,6 @@ val run_many : ?domains:int -> ?record:bool -> shards:int -> config -> (report *
 
 type qos_config = {
   q_seed : int;
-  q_nics : int;
   q_tenants : int; (* tenant 0 is the aggressor; >= 2 *)
   q_rounds : int;
   q_requests : int; (* victim requests per tenant per round *)
@@ -113,9 +110,6 @@ type qos_config = {
   q_epoch : int; (* qos accounting epoch, cycles *)
   q_slo : int; (* victim latency SLO, cycles *)
   q_starve : bool; (* zero structural slack: capacity = sum of guarantees *)
-  q_policy : Policy.t;
-  q_bytes_per_mb : int;
-  q_supervisor : Supervisor.config;
 }
 
 (** seed 42, 4 NICs / 8 tenants (1 aggressor + 7 victims), 8 rounds of
@@ -212,10 +206,7 @@ type ddos_config = {
   d_benign_flows : int;
   d_attack_factor : int;  (** spoofed SYNs per benign packet *)
   d_packets_per_flow : int;  (** benign data packets after the handshake *)
-  d_fp_bits : int;  (** whitelist fingerprint bits *)
   d_log2_buckets : int;  (** whitelist size: 2^k buckets x 4 slots *)
-  d_conntrack_entry_bytes : int;  (** naive per-SYN state, unprotected pass *)
-  d_corrupt_period : int;  (** tampered modes: one bit flip per k attack pkts *)
   d_modes : Nicsim.Machine.mode list;
 }
 
@@ -264,7 +255,7 @@ type ddos_report = {
     conntrack pass over the same seeded event stream.  [sink] receives
     the [ddos_*] hot-path counters of the protected passes.  Raises
     [Invalid_argument] on an empty mode list, fewer than 1 benign flow,
-    an attack factor < 1 or a corrupt period < 1. *)
+    or an attack factor < 1. *)
 val run_ddos : ?sink:Obs.sink -> ddos_config -> ddos_report
 
 (** Human-readable rollup; ends with the stable greppable line
@@ -311,9 +302,6 @@ type fabric_config = {
   f_reorder : int;  (** adversarial re-deliveries of pre-window frames *)
   f_tamper : int;  (** adversarial bit-flipped frames *)
   f_kill : bool;  (** kill the tracker NIC mid-run and fail over *)
-  f_fp_bits : int;  (** whitelist fingerprint bits *)
-  f_log2_buckets : int;  (** whitelist size: 2^k buckets x 4 slots *)
-  f_bytes_per_mb : int;
 }
 
 val default_fabric_config : fabric_config
@@ -364,6 +352,14 @@ val fabric_summary : fabric_report -> string
     ["invariants: benign_mac_fail=0 replay_rejects=24/24
     stale_rejects=24/24 tamper_rejects=16/16 goodput_ratio=1.0000
     failover=1 fail_closed=1"] on a passing default run. *)
+
+val fail_closed : fabric_report -> bool
+(** Every establishment that had to be refused was refused: the
+    mis-staged image, the cloned identity, and the dead NIC when the
+    kill ran. *)
+
+val adversary_all_rejected : fabric_report -> bool
+(** Every replayed, stale and tampered frame bounced. *)
 
 val fabric_check : ?min_goodput:float -> fabric_report -> string list
 (** The fabric gates, one message per failed gate: zero benign MAC

@@ -108,3 +108,7 @@ let inject orch rng ~kill_nics ~kill_nfs =
     scrub_failures = !scrub_failures;
     in_flight_drained = !drained;
   }
+
+let budget_for ~total ~gaps ~gap =
+  if gaps <= 0 then if gap = 0 then total else 0
+  else (total * (gap + 1) / gaps) - (total * gap / gaps)

@@ -33,3 +33,9 @@ type report = {
     population clamp to it (and negative budgets to 0); compare the
     [*_requested] fields with the victim lists to see the clamping. *)
 val inject : Orchestrator.t -> Trace.Rng.t -> kill_nics:int -> kill_nfs:int -> report
+
+(** [budget_for ~total ~gaps ~gap] spreads a kill budget over the gaps
+    between rounds: a run with R rounds has R-1 gaps, and gap [g] gets
+    the [g]-th share of [total] (all of it at gap 0 when there are no
+    gaps). *)
+val budget_for : total:int -> gaps:int -> gap:int -> int

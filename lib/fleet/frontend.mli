@@ -17,10 +17,10 @@ type stats = {
   dropped : int; (* frames the NFs (or pipelines) dropped *)
 }
 
-(** [replay orch ~seed ~packets ()] — generate an ICTF-like trace of
-    [packets] events from [seed] and push it through the fleet.
-    [batch] (default 32) bounds per-tenant drains between injections so
-    small VPP buffer pools don't overflow. Per-tenant and per-NIC
+(** [replay orch ~seed ~packets] — generate an ICTF-like trace of
+    [packets] events over 512 flows from [seed] and push it through the
+    fleet.  Per-tenant drains between injections are bounded at 32
+    frames so small VPP buffer pools don't overflow. Per-tenant and per-NIC
     counters land in the orchestrator's telemetry.
 
     Ingress is batched: frames buffer per NIC in event order and land
@@ -29,4 +29,4 @@ type stats = {
     changing any observable outcome (per-node frame order, pool
     occupancy at every drain point, and all counters match the
     one-packet-at-a-time path byte for byte). *)
-val replay : ?batch:int -> ?n_flows:int -> Orchestrator.t -> seed:int -> packets:int -> unit -> stats
+val replay : Orchestrator.t -> seed:int -> packets:int -> stats

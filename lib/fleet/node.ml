@@ -54,7 +54,6 @@ let shape_of_index i = match i mod 4 with 0 -> small | 1 -> medium | 2 -> large 
 
 type t = {
   id : int;
-  serial : string;
   shape : shape;
   api : Snic.Api.t;
   mutable alive : bool;
@@ -87,12 +86,11 @@ let boot ?identity_seed ~vendor ~id shape =
      interchangeable across the rack. *)
   let identity_seed = match identity_seed with Some s -> s | None -> 0x51C + (7919 * (id + 1)) in
   let api = Snic.Api.boot_with ~vendor ~serial ~identity_seed (machine_config shape) in
-  { id; serial; shape; api; alive = true; quarantined = false; committed_bytes = 0; nf_count = 0; vf_used = 0 }
+  { id; shape; api; alive = true; quarantined = false; committed_bytes = 0; nf_count = 0; vf_used = 0 }
 
 let id t = t.id
 let api t = t.api
 let shape t = t.shape
-let serial t = t.serial
 let alive t = t.alive
 let kill t = t.alive <- false
 let quarantined t = t.quarantined

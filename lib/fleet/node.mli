@@ -40,7 +40,6 @@ val boot : ?identity_seed:int -> vendor:Snic.Identity.vendor -> id:int -> shape 
 val id : t -> int
 val api : t -> Snic.Api.t
 val shape : t -> shape
-val serial : t -> string
 
 (** {2 Liveness} *)
 
@@ -66,7 +65,6 @@ val unquarantine : t -> unit
 
 val free_cores : t -> int
 val mem_headroom : t -> int
-val free_clusters : t -> Nicsim.Accel.kind -> int
 val nf_count : t -> int
 
 (** Does [demand] fit this node right now? Checks liveness, cores, RAM

@@ -1,7 +1,5 @@
 type config = { seed : int; n_nics : int; n_tenants : int; policy : Policy.t; bytes_per_mb : int }
 
-let default_config = { seed = 42; n_nics = 16; n_tenants = 64; policy = Policy.First_fit; bytes_per_mb = 1024 }
-
 type placement = { node : Node.t; vnic : Snic.Vnic.t; nf : Nf.Types.t }
 
 type tenant = {
@@ -21,7 +19,6 @@ type t = {
   rng : Random.State.t; (* nonces + DH ephemerals for the handshakes *)
 }
 
-let config t = t.config
 let nodes t = t.nodes
 let tenants t = t.tenants
 let telemetry t = t.telemetry

@@ -15,9 +15,6 @@ type config = {
   bytes_per_mb : int; (* memory scale: profiled MB -> simulated bytes *)
 }
 
-(** 16 NICs, 64 tenants, first-fit, 1 KB per profiled MB, seed 42. *)
-val default_config : config
-
 type placement = { node : Node.t; vnic : Snic.Vnic.t; nf : Nf.Types.t }
 
 type tenant = {
@@ -44,7 +41,6 @@ type t
     [domains] value. *)
 val create : ?sink:Obs.sink -> ?domains:int -> config -> t
 
-val config : t -> config
 val nodes : t -> Node.t array
 val tenants : t -> tenant array
 val telemetry : t -> Telemetry.t

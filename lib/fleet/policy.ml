@@ -16,6 +16,8 @@ let of_string s =
   | "tco-aware" | "tco_aware" | "tco" -> Ok Tco_aware
   | _ -> Error (Printf.sprintf "unknown policy %S (want first-fit|best-fit|spread|tco-aware)" s)
 
+(* The modeled 3-year cost of powering on an idle NIC of [shape]
+   (per-core S-NIC TCO x cores) — what [Tco_aware] minimizes. *)
 let activation_cost (shape : Node.shape) =
   Costmodel.Tco.tco_per_core (Costmodel.Tco.snic_variant Costmodel.Tco.liquidio) *. float_of_int shape.Node.cores
 

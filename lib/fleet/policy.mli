@@ -20,7 +20,3 @@ val of_string : string -> (t, string) result
 
 (** [choose t nodes demand] — the chosen node, if any admits [demand]. *)
 val choose : t -> Node.t array -> Workload.demand -> Node.t option
-
-(** The modeled 3-year cost of powering on an idle NIC of [shape]
-    (per-core S-NIC TCO x cores) — what [Tco_aware] minimizes. *)
-val activation_cost : Node.shape -> float

@@ -38,12 +38,6 @@ type report = {
   alive_nics : int;
 }
 
-(* Spread the failure budget over the gaps between rounds: a run with R
-   rounds has R-1 gaps; gap g gets the g-th share of each budget. *)
-let budget_for ~total ~gaps ~gap =
-  if gaps <= 0 then if gap = 0 then total else 0
-  else (total * (gap + 1) / gaps) - (total * gap / gaps)
-
 let run_with ?(sink = Obs.null) ?(domains = 1) config =
   let orch =
     Orchestrator.create ~sink ~domains
@@ -61,12 +55,12 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   let rounds = ref [] in
   let scrub_failures = ref 0 in
   for i = 0 to config.rounds - 1 do
-    let traffic = Frontend.replay orch ~seed:(config.seed + (131 * i)) ~packets:config.packets_per_round () in
+    let traffic = Frontend.replay orch ~seed:(config.seed + (131 * i)) ~packets:config.packets_per_round in
     let failures =
       if i >= gaps then None
       else begin
-        let kn = budget_for ~total:config.kill_nics ~gaps ~gap:i in
-        let kf = budget_for ~total:config.kill_nfs ~gaps ~gap:i in
+        let kn = Failure.budget_for ~total:config.kill_nics ~gaps ~gap:i in
+        let kf = Failure.budget_for ~total:config.kill_nfs ~gaps ~gap:i in
         if kn = 0 && kf = 0 then None
         else begin
           let r = Failure.inject orch fail_rng ~kill_nics:kn ~kill_nfs:kf in
@@ -95,7 +89,7 @@ let run_with ?(sink = Obs.null) ?(domains = 1) config =
   in
   (report, orch)
 
-let run ?domains config = fst (run_with ?domains config)
+let run config = fst (run_with config)
 
 (* Sharded fan-out: shard i is the same scenario with the derived seed,
    on its own rack and (optionally) its own recording sink.  Inner runs

@@ -36,10 +36,8 @@ type report = {
   alive_nics : int;
 }
 
-(** [run ?domains config] — [domains] (default 1) parallelizes the NIC
-    boot phase ({!Orchestrator.create}); the report is byte-identical
-    for every value. *)
-val run : ?domains:int -> config -> report
+(** [run config] — {!run_with} without a sink, on one domain. *)
+val run : config -> report
 
 (** Human-readable multi-line summary. *)
 val summary : report -> string
@@ -48,7 +46,9 @@ val summary : report -> string
     orchestrator; [run_with] returns it alongside the report when the
     caller needs raw counters.  A recording [sink] traces every NIC's
     devices (one Chrome pid per NIC) and shares its metrics registry
-    with the fleet telemetry. *)
+    with the fleet telemetry.  [domains] (default 1) parallelizes the
+    NIC boot phase ({!Orchestrator.create}); the report is
+    byte-identical for every value. *)
 val run_with : ?sink:Obs.sink -> ?domains:int -> config -> report * Orchestrator.t
 
 (** [run_many ?domains ?record ~shards config] runs [shards] independent

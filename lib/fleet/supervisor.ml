@@ -1,39 +1,24 @@
 open Nicsim
 
-type config = {
-  max_attempts : int;
-  backoff_base : int;
-  backoff_cap : int;
-  health_floor : int;
-  fault_penalty : int;
-  recovery_bonus : int;
-  probation_rounds : int;
-  watchdog_budget : int;
-  scrub_cost : int;
-  attest_cost : int;
-  slo_bad_share : float;
-  slo_patience : int;
-}
+(* Recovery tuning, in logical cycles and rounds. *)
+let max_attempts = 6 (* bounded retry per placement *)
+let backoff_base = 50_000 (* cycles before the first retry *)
+let backoff_cap = 5_000_000 (* ceiling on a single backoff step *)
+let health_floor = 40 (* breaker trips when a NIC's score sinks below *)
+let fault_penalty = 7 (* score lost per device fault since last tick *)
+let recovery_bonus = 15 (* score regained per quiet tick *)
+let probation_rounds = 2 (* rounds a tripped NIC sits out (doubles per re-trip) *)
 
-let default_config =
-  {
-    max_attempts = 6;
-    backoff_base = 50_000;
-    backoff_cap = 5_000_000;
-    health_floor = 40;
-    fault_penalty = 7;
-    recovery_bonus = 15;
-    probation_rounds = 2;
-    (* Far above any honest service time (a jumbo DPI request is ~100k
-       cycles), far below Accel.hang_horizon. *)
-    watchdog_budget = 50_000_000;
-    scrub_cost = 120_000;
-    attest_cost = 600_000;
-    (* Half a round's requests blowing their SLO marks the round bad;
-       two bad rounds in a row is "sustained", not a blip. *)
-    slo_bad_share = 0.5;
-    slo_patience = 2;
-  }
+(* Far above any honest service time (a jumbo DPI request is ~100k
+   cycles), far below Accel.hang_horizon. *)
+let watchdog_budget = 50_000_000
+let scrub_cost = 120_000 (* cycles charged per verified teardown scrub *)
+let attest_cost = 600_000 (* cycles charged per successful stage + attest *)
+
+(* Half a round's requests blowing their SLO marks the round bad;
+   two bad rounds in a row is "sustained", not a blip. *)
+let slo_bad_share = 0.5
+let slo_patience = 2
 
 type breaker = Closed | Open of { until_round : int } | Probation of { until_round : int }
 
@@ -45,7 +30,6 @@ type nic_state = { mutable score : int; mutable breaker : breaker; mutable trips
 type tenant_state = { mutable t_breaker : breaker; mutable t_trips : int; mutable bad_rounds : int }
 
 type t = {
-  config : config;
   orch : Orchestrator.t;
   rng : Trace.Rng.t;
   nics : nic_state array;
@@ -58,9 +42,8 @@ type t = {
   tenant_states : (int, tenant_state) Hashtbl.t; (* tenant id -> SLO breaker *)
 }
 
-let create ~seed orch config =
+let create ~seed orch =
   {
-    config;
     orch;
     rng = Trace.Rng.create ~seed:(seed lxor 0x5AFE);
     nics =
@@ -82,7 +65,6 @@ let create ~seed orch config =
 let clock t = t.clock
 let alarms t = t.alarms
 let scrub_failures t = t.scrub_failures
-let health t ~nic = t.nics.(nic).score
 let breaker t ~nic = t.nics.(nic).breaker
 
 let tenant_state t tid =
@@ -128,17 +110,17 @@ let place_with_retry t tenant =
   let rec go attempt =
     match Orchestrator.replace t.orch tenant with
     | Ok () ->
-      t.clock <- t.clock + t.config.attest_cost;
+      t.clock <- t.clock + attest_cost;
       note_recovered t tenant;
       Ok ()
     | Error Orchestrator.No_capacity ->
       t.alarms <- t.alarms + 1;
       Error Orchestrator.No_capacity
     | Error (Orchestrator.Create_failed (Snic.Api.Stage_fault _) | Orchestrator.Attest_failed _) as e ->
-      if attempt >= t.config.max_attempts then (match e with Error err -> Error err | Ok () -> assert false)
+      if attempt >= max_attempts then (match e with Error err -> Error err | Ok () -> assert false)
       else begin
         Telemetry.retry (Orchestrator.telemetry t.orch);
-        let backoff = min t.config.backoff_cap (t.config.backoff_base * (1 lsl (attempt - 1))) in
+        let backoff = min backoff_cap (backoff_base * (1 lsl (attempt - 1))) in
         let jitter = Trace.Rng.int t.rng (max 1 (backoff / 4)) in
         t.clock <- t.clock + backoff + jitter;
         go (attempt + 1)
@@ -161,7 +143,7 @@ let destroy_verified t node (tenant : Orchestrator.tenant) =
       end
       else t.scrub_failures <- t.scrub_failures + 1
     | Error _ -> t.scrub_failures <- t.scrub_failures + 1);
-    t.clock <- t.clock + t.config.scrub_cost;
+    t.clock <- t.clock + scrub_cost;
     note_evict t tenant
 
 (* ---- per-tenant SLO supervision --------------------------------- *)
@@ -173,7 +155,7 @@ type qos_round = { violations : int; samples : int; over_credits : int }
    the health signal names a tenant, so the quarantine does too. *)
 let trip_tenant t ~round tid =
   let st = tenant_state t tid in
-  let window = t.config.probation_rounds * (1 lsl min st.t_trips 4) in
+  let window = probation_rounds * (1 lsl min st.t_trips 4) in
   st.t_trips <- st.t_trips + 1;
   st.bad_rounds <- 0;
   st.t_breaker <- Open { until_round = round + window };
@@ -199,7 +181,7 @@ let note_qos t ~round stats =
     (fun tid st ->
       match st.t_breaker with
       | Open { until_round } when round >= until_round ->
-        st.t_breaker <- Probation { until_round = round + t.config.probation_rounds };
+        st.t_breaker <- Probation { until_round = round + probation_rounds };
         Telemetry.tenant_readmission tel;
         Array.iter
           (fun (tn : Orchestrator.tenant) ->
@@ -217,10 +199,10 @@ let note_qos t ~round stats =
       let st = tenant_state t tid in
       if not (tenant_quarantined t ~tenant:tid) then begin
         let bad =
-          q.samples > 0 && float_of_int q.violations /. float_of_int q.samples > t.config.slo_bad_share
+          q.samples > 0 && float_of_int q.violations /. float_of_int q.samples > slo_bad_share
         in
         if bad then st.bad_rounds <- st.bad_rounds + 1 else st.bad_rounds <- 0;
-        if st.bad_rounds >= t.config.slo_patience then sustained := true
+        if st.bad_rounds >= slo_patience then sustained := true
       end)
     stats;
   (* Attribute and intervene: the noisy tenant is the top over-guarantee
@@ -252,7 +234,7 @@ let note_qos t ~round stats =
    trusts; the stranded-tenant pass re-places them elsewhere. *)
 let trip t ~round nic_i node =
   let st = t.nics.(nic_i) in
-  let window = t.config.probation_rounds * (1 lsl min st.trips 4) in
+  let window = probation_rounds * (1 lsl min st.trips 4) in
   st.trips <- st.trips + 1;
   st.breaker <- Open { until_round = round + window };
   Node.quarantine node;
@@ -318,7 +300,7 @@ let watchdog t =
             let a = Machine.accel (Snic.Api.machine (Node.api node)) kind in
             let done_at = Accel.submit a ~cluster ~now:t.clock ~bytes:64 in
             ignore (Accel.take_garbage a);
-            if done_at - t.clock > t.config.watchdog_budget then begin
+            if done_at - t.clock > watchdog_budget then begin
               Telemetry.watchdog_failover tel;
               destroy_verified t node tn;
               ignore (place_with_retry t tn)
@@ -340,21 +322,21 @@ let tick t ~round =
         in
         let fresh = total - st.last_faults in
         st.last_faults <- total;
-        let penalty = (fresh * t.config.fault_penalty) + probe t node in
-        st.score <- max 0 (min 100 (st.score + t.config.recovery_bonus - penalty));
+        let penalty = (fresh * fault_penalty) + probe t node in
+        st.score <- max 0 (min 100 (st.score + recovery_bonus - penalty));
         match st.breaker with
-        | Closed -> if st.score < t.config.health_floor then trip t ~round i node
+        | Closed -> if st.score < health_floor then trip t ~round i node
         | Open { until_round } ->
           if round >= until_round then begin
             Node.unquarantine node;
-            st.breaker <- Probation { until_round = round + t.config.probation_rounds };
+            st.breaker <- Probation { until_round = round + probation_rounds };
             (* Readmit with a clean slate — probation re-trips on the
                first sign of relapse anyway. *)
-            st.score <- max st.score t.config.health_floor;
+            st.score <- max st.score health_floor;
             Telemetry.readmission tel
           end
         | Probation { until_round } ->
-          if st.score < t.config.health_floor then trip t ~round i node
+          if st.score < health_floor then trip t ~round i node
           else if round >= until_round then st.breaker <- Closed
       end)
     (Orchestrator.nodes t.orch);

@@ -14,22 +14,9 @@
     time is a logical cycle clock, so a seeded run replays its recovery
     schedule byte for byte. *)
 
-type config = {
-  max_attempts : int; (* bounded retry per placement *)
-  backoff_base : int; (* cycles before the first retry *)
-  backoff_cap : int; (* ceiling on a single backoff step *)
-  health_floor : int; (* breaker trips when a NIC's score sinks below *)
-  fault_penalty : int; (* score lost per device fault since last tick *)
-  recovery_bonus : int; (* score regained per quiet tick *)
-  probation_rounds : int; (* rounds a tripped NIC sits out (doubles per re-trip) *)
-  watchdog_budget : int; (* cycles an accelerator canary may take *)
-  scrub_cost : int; (* cycles charged per verified teardown scrub *)
-  attest_cost : int; (* cycles charged per successful stage + attest *)
-  slo_bad_share : float; (* violation fraction that marks a tenant's round bad *)
-  slo_patience : int; (* consecutive bad rounds = "sustained" violation *)
-}
-
-val default_config : config
+(** Cycles an accelerator canary may take before the watchdog declares
+    the unit hung; far below {!Nicsim.Accel.hang_horizon}. *)
+val watchdog_budget : int
 
 (** Per-NIC circuit breaker: [Closed] (healthy) → [Open] (quarantined
     until the round shown, window doubling on each re-trip) →
@@ -38,11 +25,11 @@ type breaker = Closed | Open of { until_round : int } | Probation of { until_rou
 
 type t
 
-(** [create ~seed orch config] — the supervisor's jitter stream derives
+(** [create ~seed orch] — the supervisor's jitter stream derives
     from [seed]; recovery-latency samples are also observed into the
     [fleet_recovery_ms] histogram of the orchestrator's telemetry
     registry. *)
-val create : seed:int -> Orchestrator.t -> config -> t
+val create : seed:int -> Orchestrator.t -> t
 
 (** The logical cycle clock (advanced by ticks and backoff waits). *)
 val clock : t -> int
@@ -52,9 +39,6 @@ val alarms : t -> int
 
 (** Teardowns whose RAM was not zero afterwards — must stay 0. *)
 val scrub_failures : t -> int
-
-(** Current health score of a NIC, clamped to [0, 100]. *)
-val health : t -> nic:int -> int
 
 (** Current circuit-breaker state of a NIC. *)
 val breaker : t -> nic:int -> breaker
@@ -86,10 +70,6 @@ val note_qos : t -> round:int -> (int * qos_round) list -> unit
 
 (** Current breaker state of a tenant ([Closed] if never reported). *)
 val tenant_breaker : t -> tenant:int -> breaker
-
-(** True while the tenant's breaker is [Open] — {!tick} will not
-    re-place its NFs. *)
-val tenant_quarantined : t -> tenant:int -> bool
 
 (** [place_with_retry t tenant] — {!Orchestrator.replace} under bounded
     retry: transient failures (stage faults, attestation rejections)

@@ -114,8 +114,6 @@ let slo_violations t = Obs.Metrics.value t.slo_violations
 
 let sum_tenants t f = Hashtbl.fold (fun _ s acc -> acc + f s) t.tenants 0
 let total_attests t = sum_tenants t (fun s -> s.placements)
-let total_forwarded t = sum_tenants t (fun s -> s.forwarded)
-let total_dropped t = sum_tenants t (fun s -> s.dropped)
 
 let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 

@@ -78,7 +78,6 @@ val tenant_readmission : t -> unit
 val add_slo_violations : t -> int -> unit
 (** Accumulate one round's tenant SLO violations. *)
 
-val placement_failures : t -> int
 val replacements : t -> int
 val nic_kills : t -> int
 val nf_kills : t -> int
@@ -87,15 +86,12 @@ val retries : t -> int
 val quarantines : t -> int
 val readmissions : t -> int
 val watchdog_failovers : t -> int
-val health_probes : t -> int
 val probe_failures : t -> int
 val tenant_quarantines : t -> int
 val tenant_readmissions : t -> int
 val slo_violations : t -> int
 
 val total_attests : t -> int
-val total_forwarded : t -> int
-val total_dropped : t -> int
 
 (** {2 Export} *)
 

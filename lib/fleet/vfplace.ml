@@ -13,13 +13,6 @@ type site = { nic : int; slots : int }
 type assignment = { nic : int; vf : int; tenant : int; weight : int }
 type policy = Packed | Spread
 
-let policy_name = function Packed -> "packed" | Spread -> "spread"
-
-let policy_of_string = function
-  | "packed" -> Ok Packed
-  | "spread" -> Ok Spread
-  | s -> Error (Printf.sprintf "unknown VF placement policy %S (known: packed, spread)" s)
-
 let capacity sites = List.fold_left (fun a s -> a + s.slots) 0 sites
 
 let pack policy ~sites ~vnics =
@@ -64,5 +57,3 @@ let per_nic assignments =
     assignments;
   let nics = Hashtbl.fold (fun nic _ acc -> nic :: acc) tbl [] in
   List.map (fun nic -> (nic, List.rev (Hashtbl.find tbl nic))) (List.sort compare nics)
-
-let sites_of_nodes nodes = List.map (fun n -> { nic = Node.id n; slots = Node.vf_headroom n }) nodes

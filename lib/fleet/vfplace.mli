@@ -13,12 +13,6 @@ type policy =
   | Packed  (** first-fit: fill NICs in order — dense, easy to drain *)
   | Spread  (** round-robin over NICs with headroom — smooth load *)
 
-val policy_name : policy -> string
-val policy_of_string : string -> (policy, string) result
-
-val capacity : site list -> int
-(** Total VF slots across the sites. *)
-
 val pack : policy -> sites:site list -> vnics:vnic list -> (assignment list, string) result
 (** Assign every vNIC a (NIC, VF id), in vNIC order.  VF ids count up
     from 0 per NIC.  [Error] when there are more vNICs than slots. *)
@@ -26,6 +20,3 @@ val pack : policy -> sites:site list -> vnics:vnic list -> (assignment list, str
 val per_nic : assignment list -> (int * assignment list) list
 (** Group assignments by NIC id, ascending; within a NIC, original
     order (ascending VF ids). *)
-
-val sites_of_nodes : Node.t list -> site list
-(** Sites from live fleet nodes, using each node's current VF headroom. *)

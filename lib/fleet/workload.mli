@@ -14,10 +14,6 @@ type kind = Fw | Dpi | Nat | Lb | Lpm | Mon | Ckf | Synp
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val kind_of_string : string -> (kind, string) result
-
-(** The Table 6 profile behind a kind. *)
-val profile : kind -> Memprof.Profiles.t
 
 type demand = {
   kind : kind;

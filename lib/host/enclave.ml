@@ -4,7 +4,6 @@ type host = { mem : Nicsim.Physmem.t; epc_base : int; epc_len : int; mutable epc
 
 type t = {
   host : host;
-  name : string;
   base : int; (* this enclave's EPC slice base *)
   mutable pages : int;
   mutable meas : Crypto.Sha256.ctx option; (* open while building *)
@@ -22,11 +21,9 @@ let in_epc host pos = pos >= host.epc_base && pos < host.epc_base + host.epc_len
 
 (* EPC slice allocation is a simple bump over the host's EPC range;
    add_page advances the cursor. *)
-let create host ~name = { host; name; base = host.epc_next; pages = 0; meas = Some (Crypto.Sha256.init ()); digest = None }
+let create host = { host; base = host.epc_next; pages = 0; meas = Some (Crypto.Sha256.init ()); digest = None }
 
 let initialized t = t.digest <> None
-let measurement t = t.digest
-let name t = t.name
 
 let add_page t data =
   if String.length data > page_size then Error "page content exceeds one page"

@@ -31,7 +31,7 @@ val make_host : mem_bytes:int -> epc_bytes:int -> host
 
 (** {2 Life cycle} *)
 
-val create : host -> name:string -> t
+val create : host -> t
 
 (** [add_page t data] copies one page of initial content into the EPC and
     extends the measurement. Fails after [init] or when the EPC is
@@ -41,9 +41,7 @@ val add_page : t -> string -> (unit, string) result
 (** [init t] finalizes the measurement; the enclave becomes runnable. *)
 val init : t -> (string, string) result
 
-val measurement : t -> string option
 val initialized : t -> bool
-val name : t -> string
 
 (** {2 Memory semantics} *)
 
@@ -64,5 +62,3 @@ val enter :
 (** [dma_allowed host ~pos ~len] — false when any byte falls in the EPC:
     devices cannot DMA into enclave memory. *)
 val dma_allowed : host -> pos:int -> len:int -> bool
-
-val page_size : int

@@ -12,7 +12,6 @@ val zip : t
 val raid : t
 val all : t list
 
-val total_bytes : t -> int
 val total_mb : t -> float
 
 (** TLB bank entries at 2 MB pages (Table 7's last column). *)

@@ -20,7 +20,6 @@ val attest_ms : float
 (** The calibrated rates (for documentation and tests). *)
 val sha_mb_per_s : float
 
-val scrub_gb_per_s : float
 val tlb_setup_ms : float
 val denylist_ms : float
 val allowlist_ms : float

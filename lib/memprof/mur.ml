@@ -4,10 +4,9 @@ let mbf bytes = float_of_int bytes /. (1024. *. 1024.)
 
 (* Calibrated model parameters (see DESIGN.md): a NAT translation entry
    carries the 5-tuple key, the rewritten endpoint and reverse-path
-   bookkeeping; Monitor entries are a 5-tuple key plus a counter. *)
+   bookkeeping, over a steady DPDK base. *)
 let nat_entry_bytes = 194
 let nat_base_mb = 4.0
-let mon_entry_bytes = 113
 
 let fixed p = p.Profiles.text_mb +. p.Profiles.data_mb +. p.Profiles.code_mb
 

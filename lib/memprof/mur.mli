@@ -17,10 +17,3 @@ type row = {
 val table8 : unit -> row list
 
 val find : string -> row
-
-(** Per-NF model parameters (documented calibration): HashMap entry bytes
-    and steady DPDK base for the map-dominated NFs. *)
-val nat_entry_bytes : int
-
-val nat_base_mb : float
-val mon_entry_bytes : int

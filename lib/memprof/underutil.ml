@@ -7,12 +7,17 @@ let policy_name = function
 
 type point = { t_h : float; demand_mb : float; provisioned_mb : float }
 
+(* One day at 15-minute samples against a 360 MB peak. *)
+let hours = 24.
+let peak_mb = 360.
+let samples_per_hour = 4
+
 (* Diurnal curve: 30% floor, sinusoidal peak at 18:00. *)
-let demand_at ~peak_mb t_h =
+let demand_at t_h =
   let phase = 2. *. Float.pi *. (t_h -. 6.) /. 24. in
   peak_mb *. (0.3 +. (0.7 *. 0.5 *. (1. +. Float.sin phase)))
 
-let provisioned ~peak_mb policy demand =
+let provisioned policy demand =
   match policy with
   | Static_peak -> peak_mb
   | Dynamic -> demand
@@ -20,12 +25,12 @@ let provisioned ~peak_mb policy demand =
     let n = int_of_float (Float.ceil (demand /. instance_mb)) in
     float_of_int (max 1 n) *. instance_mb
 
-let simulate ?(hours = 24.) ?(peak_mb = 360.) ?(samples_per_hour = 4) policy =
+let simulate policy =
   let n = int_of_float (hours *. float_of_int samples_per_hour) in
   List.init (n + 1) (fun i ->
       let t_h = float_of_int i /. float_of_int samples_per_hour in
-      let demand_mb = demand_at ~peak_mb t_h in
-      { t_h; demand_mb; provisioned_mb = provisioned ~peak_mb policy demand_mb })
+      let demand_mb = demand_at t_h in
+      { t_h; demand_mb; provisioned_mb = provisioned policy demand_mb })
 
 let avg_utilization points =
   match points with

@@ -5,8 +5,6 @@ let make ~src_ip ~dst_ip ~proto ~src_port ~dst_port = { src_ip; dst_ip; proto; s
 let equal a b =
   a.src_ip = b.src_ip && a.dst_ip = b.dst_ip && a.proto = b.proto && a.src_port = b.src_port && a.dst_port = b.dst_port
 
-let compare = Stdlib.compare
-
 (* SplitMix-style finalizer over the packed fields; flow keys feed hash
    tables sized in the hundreds of thousands, so the low bits must mix. *)
 let hash t =

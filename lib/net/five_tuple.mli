@@ -13,7 +13,6 @@ type t = {
 val make : src_ip:Ipv4_addr.t -> dst_ip:Ipv4_addr.t -> proto:int -> src_port:int -> dst_port:int -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** A well-mixed hash suitable for hash-table flow caches. *)
 val hash : t -> int

@@ -27,5 +27,3 @@ let in_prefix addr ~prefix ~len =
     let mask = 0xffffffff lxor ((1 lsl (32 - len)) - 1) in
     addr land mask = prefix land mask
   end
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

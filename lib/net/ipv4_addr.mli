@@ -12,5 +12,3 @@ val of_octets : int -> int -> int -> int -> t
 
 (** [in_prefix addr ~prefix ~len] tests membership in [prefix/len]. *)
 val in_prefix : t -> prefix:t -> len:int -> bool
-
-val pp : Format.formatter -> t -> unit

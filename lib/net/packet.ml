@@ -16,11 +16,9 @@ let default_src_mac = "\x02\x00\x00\x00\x00\x01"
 let default_dst_mac = "\x02\x00\x00\x00\x00\x02"
 let ethertype_ipv4 = 0x0800
 
-let make ?(src_mac = default_src_mac) ?(dst_mac = default_dst_mac) ?(ttl = 64) ~src_ip ~dst_ip ~proto ~src_port
-    ~dst_port payload =
-  if String.length src_mac <> 6 || String.length dst_mac <> 6 then invalid_arg "Packet.make: MAC must be 6 bytes";
+let make ?(ttl = 64) ~src_ip ~dst_ip ~proto ~src_port ~dst_port payload =
   if src_port < 0 || src_port > 0xffff || dst_port < 0 || dst_port > 0xffff then invalid_arg "Packet.make: bad port";
-  { src_mac; dst_mac; src_ip; dst_ip; proto; src_port; dst_port; ttl; payload }
+  { src_mac = default_src_mac; dst_mac = default_dst_mac; src_ip; dst_ip; proto; src_port; dst_port; ttl; payload }
 
 let proto_number = function Tcp -> 6 | Udp -> 17
 

@@ -21,9 +21,9 @@ type t = {
   payload : string;
 }
 
+(** Frames built here carry the fixed locally administered MACs
+    02:00:00:00:00:01 -> 02:00:00:00:00:02. *)
 val make :
-  ?src_mac:string ->
-  ?dst_mac:string ->
   ?ttl:int ->
   src_ip:Ipv4_addr.t ->
   dst_ip:Ipv4_addr.t ->
@@ -34,8 +34,6 @@ val make :
   t
 
 val flow : t -> Five_tuple.t
-
-val proto_number : proto -> int
 
 (** Total on-the-wire frame length in bytes. *)
 val wire_length : t -> int

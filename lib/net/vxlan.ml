@@ -1,6 +1,6 @@
 type vni = int
 
-let vxlan_port = 4789
+let vxlan_port = 4789 (* IANA *)
 
 type encapsulated = { vni : vni; outer_src_ip : Ipv4_addr.t; outer_dst_ip : Ipv4_addr.t; inner : Packet.t }
 

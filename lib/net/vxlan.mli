@@ -7,9 +7,6 @@
 (** 24-bit Virtual Network Identifier. *)
 type vni = int
 
-val vxlan_port : int
-(** IANA UDP port 4789. *)
-
 type encapsulated = {
   vni : vni;
   outer_src_ip : Ipv4_addr.t;

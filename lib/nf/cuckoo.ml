@@ -14,7 +14,6 @@ type t = {
   rng : Trace.Rng.t; (* kick-victim selection, seeded at creation *)
   probe : Types.probe option;
   mutable occupied : int;
-  mutable kicks : int;
   mutable rejected : int;
 }
 
@@ -29,7 +28,6 @@ let create ?probe ?(seed = 0xCF17) ~fp_bits ~log2_buckets () =
     rng = Trace.Rng.create ~seed;
     probe;
     occupied = 0;
-    kicks = 0;
     rejected = 0;
   }
 
@@ -99,7 +97,6 @@ let insert t flow =
       set_slot t !i s !cur;
       cur := victim;
       i := alt t !i victim;
-      t.kicks <- t.kicks + 1;
       touch t !i;
       placed := place t !i !cur;
       incr n
@@ -127,7 +124,6 @@ let remove t flow =
 let occupancy t = t.occupied
 let capacity t = (t.mask + 1) * slots_per_bucket
 let load_factor t = float_of_int t.occupied /. float_of_int (capacity t)
-let kicks t = t.kicks
 let rejected t = t.rejected
 
 (* Modeled on-NIC footprint: one fingerprint per slot, byte-rounded.
@@ -150,21 +146,18 @@ let corrupt t ~bit =
 
 (* ------------------------------------------------------------------ *)
 
-type nf_state = { filter : t; mutable packets : int }
+type nf_state = t
 
-let nf_create ?probe ?seed ?(fp_bits = 12) ?(log2_buckets = 14) () =
-  { filter = create ?probe ?seed ~fp_bits ~log2_buckets (); packets = 0 }
+let nf_create ?probe ?seed ?(fp_bits = 12) ?(log2_buckets = 14) () = create ?probe ?seed ~fp_bits ~log2_buckets ()
 
 let nf (st : nf_state) =
   {
     Types.name = "CKF";
     process =
       (fun pkt ->
-        st.packets <- st.packets + 1;
         let flow = Net.Packet.flow pkt in
-        ignore (insert st.filter flow);
+        ignore (insert st flow);
         Types.Forward pkt);
   }
 
-let nf_filter st = st.filter
-let nf_packets st = st.packets
+let nf_filter st = st

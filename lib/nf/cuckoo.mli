@@ -33,9 +33,6 @@ val occupancy : t -> int
 val capacity : t -> int
 val load_factor : t -> float
 
-(** Total displacement hops performed. *)
-val kicks : t -> int
-
 (** Inserts rejected because the filter was saturated. *)
 val rejected : t -> int
 
@@ -59,4 +56,3 @@ val nf_create :
 val nf : nf_state -> Types.t
 
 val nf_filter : nf_state -> t
-val nf_packets : nf_state -> int

@@ -1,22 +1,14 @@
-type t = {
-  ac : Aho_corasick.t;
-  probe : Types.probe option;
-  mutable matches_seen : int;
-  mutable packets_seen : int;
-}
+type t = { ac : Aho_corasick.t; probe : Types.probe option }
 
 (* The shallow automaton states are compiled to dense DFA rows, like the
    SIMD crate the paper uses; 2048 rows = 4 MB, within the DPI graph
    budget of Table 7. *)
 let create ?probe patterns =
-  { ac = Aho_corasick.compile ~dense_states:2048 (Aho_corasick.build patterns); probe; matches_seen = 0; packets_seen = 0 }
+  { ac = Aho_corasick.compile ~dense_states:2048 (Aho_corasick.build patterns); probe }
 
 let inspect t (pkt : Net.Packet.t) =
-  t.packets_seen <- t.packets_seen + 1;
   let on_state = Option.map (fun probe state -> probe ~region:0 ~index:state) t.probe in
-  let hits = Aho_corasick.scan ?on_state t.ac pkt.payload in
-  t.matches_seen <- t.matches_seen + hits;
-  hits
+  Aho_corasick.scan ?on_state t.ac pkt.payload
 
 let nf t =
   {
@@ -25,5 +17,3 @@ let nf t =
   }
 
 let automaton t = t.ac
-let matches_seen t = t.matches_seen
-let packets_seen t = t.packets_seen

@@ -14,5 +14,3 @@ val nf : t -> Types.t
 val inspect : t -> Net.Packet.t -> int
 
 val automaton : t -> Aho_corasick.t
-val matches_seen : t -> int
-val packets_seen : t -> int

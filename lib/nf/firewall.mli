@@ -33,8 +33,5 @@ val cache_capacity : t -> int
 (** Flows evicted from the cache so far. *)
 val cache_evictions : t -> int
 
-(** [rule_matches rule flow] exposes the matcher for tests. *)
-val rule_matches : rule -> Net.Five_tuple.t -> bool
-
 (** A wildcard-everything rule with the given action. *)
 val rule_any : action -> rule

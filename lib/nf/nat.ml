@@ -110,5 +110,3 @@ let expire t ~idle_for =
       Queue.push port t.recycled)
     stale;
   List.length stale
-
-let clock t = t.clock

@@ -28,9 +28,6 @@ val port_base : int
 (** Ports remaining in the pool (including recycled ones). *)
 val free_ports : t -> int
 
-(** Event time: one tick per [translate] call. *)
-val clock : t -> int
-
 (** [expire t ~idle_for] drops mappings unused for more than [idle_for]
     ticks and returns their ports to the pool; returns the number
     expired. *)

@@ -14,9 +14,6 @@ type spec = {
     SYN-cookie split proxy). *)
 val all : spec list
 
-(** Comma-separated valid short names (for error messages and usage). *)
-val short_names : unit -> string
-
 (** @raise Invalid_argument on an unknown short name, listing the valid
     short names. *)
 val find : string -> spec
@@ -28,7 +25,3 @@ val fw_rules : scale:float -> int
 
 val dpi_patterns : scale:float -> int
 val lpm_routes : scale:float -> int
-
-(** Cuckoo-filter sizing for the CKF/SYNP pair: log2 bucket count at a
-    given [scale] (1.0 = 2^14 buckets = 64 Ki slots, 128 KiB fixed). *)
-val ckf_log2_buckets : scale:float -> int

@@ -48,7 +48,6 @@ let cookie t flow = cookie_at t ~epoch:t.epoch flow
 let validate t flow hex = String.equal hex (cookie t flow) || String.equal hex (cookie_at t ~epoch:(t.epoch - 1) flow)
 
 let advance_epoch t = t.epoch <- t.epoch + 1
-let epoch t = t.epoch
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix && String.equal (String.sub s 0 (String.length prefix)) prefix

@@ -18,16 +18,11 @@ val create :
 (** Current-epoch cookie for a flow (what a SYN is answered with). *)
 val cookie : t -> Net.Five_tuple.t -> string
 
-(** Cookie for an explicit epoch — lets tests build stale cookies. *)
-val cookie_at : t -> epoch:int -> Net.Five_tuple.t -> string
-
 (** True for the current- or previous-epoch cookie of [flow]. *)
 val validate : t -> Net.Five_tuple.t -> string -> bool
 
 (** Rotate the cookie epoch; cookies two turns old become stale. *)
 val advance_epoch : t -> unit
-
-val epoch : t -> int
 
 (** Payload conventions used by scenario code. *)
 val syn_payload : string
@@ -37,8 +32,6 @@ val ack_prefix : string
 (** ["ACK:" ^ cookie t flow] — the payload a live client echoes. *)
 val ack_payload : t -> Net.Five_tuple.t -> string
 
-val whitelisted : t -> Net.Five_tuple.t -> bool
-val process : t -> Net.Packet.t -> Types.verdict
 val nf : t -> Types.t
 val filter : t -> Cuckoo.t
 

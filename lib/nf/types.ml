@@ -2,5 +2,4 @@ type verdict = Forward of Net.Packet.t | Drop of string
 type probe = region:int -> index:int -> unit
 type t = { name : string; process : Net.Packet.t -> verdict }
 
-let forwarded = function Forward p -> Some p | Drop _ -> None
 let is_drop = function Drop _ -> true | Forward _ -> false

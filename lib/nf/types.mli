@@ -19,5 +19,4 @@ type t = {
   process : Net.Packet.t -> verdict;
 }
 
-val forwarded : verdict -> Net.Packet.t option
 val is_drop : verdict -> bool

@@ -61,8 +61,6 @@ let take_garbage t =
   g
 
 let kind t = t.kind
-let threads t = Array.length t.clusters * t.cluster_size
-let cluster_size t = t.cluster_size
 let cluster_count t = Array.length t.clusters
 
 let claim_cluster t ~nf =

@@ -30,12 +30,6 @@ val create : kind:kind -> threads:int -> cluster_size:int -> t
 (** The engine's kind. *)
 val kind : t -> kind
 
-(** Total hardware threads across all clusters. *)
-val threads : t -> int
-
-(** Threads per cluster. *)
-val cluster_size : t -> int
-
 (** Number of clusters. *)
 val cluster_count : t -> int
 

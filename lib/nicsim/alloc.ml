@@ -12,8 +12,6 @@ let desc_size = 32
 let header_size = 16
 
 let metadata_base t = t.base
-let heap_base t = t.heap_base
-let heap_size t = t.heap_size
 
 let owner_code = function Physmem.Nic_os -> 0 | Physmem.Nf k -> k + 1 | Physmem.Free -> invalid_arg "Alloc: Free owner"
 

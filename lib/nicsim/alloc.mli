@@ -43,6 +43,3 @@ val free : t -> int -> unit
 
 (** Allocations currently live, as (owner, addr, len). *)
 val live : t -> (Physmem.owner * int * int) list
-
-val heap_base : t -> int
-val heap_size : t -> int

@@ -114,8 +114,6 @@ let access t ~domain ~addr =
     v.lru <- t.clock;
     Miss
 
-let flush t = Array.iter (fun l -> l.valid <- false) t.lines
-
 let flush_domain t d =
   Array.iter
     (fun l ->
@@ -126,8 +124,6 @@ let flush_domain t d =
     t.lines
 
 let stats t ~domain = t.per_domain.(domain)
-let size_bytes t = t.sets * t.ways * (1 lsl t.line_bits)
-let mode t = t.mode
 
 let occupancy t ~domain =
   Array.fold_left (fun acc l -> if l.valid && l.owner = domain then acc + 1 else acc) 0 t.lines

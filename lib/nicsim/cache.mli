@@ -37,17 +37,13 @@ type result = Hit | Miss
 
 val access : t -> domain:int -> addr:int -> result
 
-(** [flush t] invalidates everything. [flush_domain t d] invalidates only
-    lines owned by [d] (what nf_teardown does, §4.6). *)
-val flush : t -> unit
-
+(** [flush_domain t d] invalidates only lines owned by [d] (what
+    nf_teardown does, §4.6). *)
 val flush_domain : t -> int -> unit
 
 type stats = { hits : int; misses : int; evicted_by_others : int }
 
 val stats : t -> domain:int -> stats
-val size_bytes : t -> int
-val mode : t -> mode
 
 (** Ways usable by a domain for fills, as [(lo, hi)] exclusive. *)
 val fill_ways : t -> domain:int -> int * int

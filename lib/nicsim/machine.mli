@@ -22,13 +22,21 @@ type mode = Liquidio_se_s | Liquidio_se_um of { nf_xkphys : bool } | Agilio | Bl
 
 val mode_name : mode -> string
 
+(** All five architectures (SE-UM in both flavours), commodity first. *)
+val all_modes : mode list
+
+(** Stable short mode identifiers for CLIs, trace files, bench keys and
+    CI: "se-s", "se-um", "se-um-xk", "agilio", "bluefield", "snic". *)
+val mode_id : mode -> string
+
+val mode_of_id : string -> mode option
+
 type principal = Os | Nf_code of int
 
 type fault =
   | Tlb_fault of int (* vaddr *)
   | Denied of { principal : principal; addr : int; reason : string }
 
-val pp_fault : Format.formatter -> fault -> unit
 val fault_to_string : fault -> string
 
 type t
@@ -70,16 +78,6 @@ val sink : t -> Obs.sink
 (** Track number of the control-plane (API) span lane. *)
 val track_ctrl : int
 
-(** [set_qos t q] attaches a per-tenant credit arbiter (see {!Qos}) to
-    this NIC and routes it to the machine's sink on the QoS tracks.
-    Opt-in: the bare machine never consults it — fleets and scenarios
-    route tenant traffic through the [Qos] fronting wrappers, so the
-    security-isolation semantics of the raw device API are unchanged. *)
-val set_qos : t -> Qos.t -> unit
-
-val qos : t -> Qos.t option
-(** The attached arbiter, if any. *)
-
 val mode : t -> mode
 val mem : t -> Physmem.t
 val cores : t -> int
@@ -117,10 +115,6 @@ val mmio_reg_graph : int
 
 val mmio_reg_iq : int
 
-(** S-NIC management-core denylist (maintained automatically from page
-    ownership when [mode = Snic]; exposed for tests). *)
-val os_denied : t -> int -> bool
-
 (** {2 Read-only introspection}
 
     Ground-truth state queries for external checkers (the model-based
@@ -130,9 +124,6 @@ val os_denied : t -> int -> bool
 
 (** Owner of the 4 KB page containing a physical address. *)
 val page_owner : t -> int -> Physmem.owner
-
-(** BlueField: is the page containing this address secure-world memory? *)
-val secure_page : t -> int -> bool
 
 (** Snapshot of a core TLB's installed entries (most recent first). *)
 val tlb_entries : t -> core:int -> Tlb.entry list

@@ -14,7 +14,6 @@ let create ~size =
   if size <= 0 || size land (page_size - 1) <> 0 then invalid_arg "Physmem.create: size must be page-aligned";
   { size; pages = Hashtbl.create 4096; owners = Hashtbl.create 4096; resolutions = 0 }
 
-let size t = t.size
 let resolutions t = t.resolutions
 
 (* [pos + len > t.size] wraps to a negative number when [len] is near

@@ -30,8 +30,6 @@ val page_size : int
     hostile length near [max_int] cannot wrap past it. *)
 val create : size:int -> t
 
-val size : t -> int
-
 (** Page-table lookups served so far — one per byte on the legacy
     [read_u8]/[write_u8] path, one per 4 KB page on the bulk path. The
     datapath bench gates regressions on this counter. *)

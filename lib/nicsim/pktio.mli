@@ -40,8 +40,6 @@ val set_sink : t -> Obs.sink -> track:int -> unit
     consulted in insertion order. *)
 val add_rule : t -> m:rule_match -> nf:int -> unit
 
-val remove_rules_for : t -> nf:int -> unit
-
 (** [reserve t ?sched ~nf ~rx_bytes ~tx_bytes] claims port buffer space
     for an NF's virtual packet pipeline and installs its packet scheduler
     (default FIFO); fails when the physical ports lack space. *)

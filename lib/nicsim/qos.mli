@@ -73,8 +73,6 @@ type t
 val create : config -> t
 (** Raises [Invalid_argument] on a non-positive epoch or capacity. *)
 
-val config : t -> config
-
 val set_sink : t -> Obs.sink -> track_base:int -> unit
 (** Route grant/throttle/borrow counters, throttle instants and the
     [qos_latency_cycles] histogram to [sink].  Tracks [track_base]..
@@ -102,9 +100,6 @@ val admit : t -> tenant:int -> resource:resource -> cost:int -> now:int -> verdi
     Epoch state rolls forward from [now]; [now] must not go backwards
     across calls.  Raises [Invalid_argument] for an unregistered
     tenant or a non-positive cost. *)
-
-val current_epoch : t -> int
-(** Index of the epoch the arbiter last rolled to. *)
 
 val epoch_granted : t -> resource:resource -> int
 (** Credits granted on [resource] so far in the current epoch (the
@@ -140,26 +135,6 @@ val dma_transfer :
   ((unit, Dma.error) result, throttle) result
 (** Charge [len] byte credits; on grant, [Dma.transfer].  DMA has no
     completion clock, so no latency sample is taken here. *)
-
-val accel_submit :
-  t -> accel:Accel.t -> tenant:int -> cluster:int -> now:int -> bytes:int -> (int, throttle) result
-(** Charge the modeled service cost (kind overhead + per-byte cycles)
-    in accel credits; on grant, [Accel.submit] and a latency sample. *)
-
-val accel_stream :
-  t ->
-  accel:Accel.t ->
-  tenant:int ->
-  cluster:int ->
-  now:int ->
-  mem:Physmem.t ->
-  src:int ->
-  src_len:int ->
-  dst:int ->
-  f:(string -> string) ->
-  ((int * int, Accel.stream_error) result, throttle) result
-(** Charge the stream's service cost on [src_len]; on grant,
-    [Accel.stream] and a latency sample on success. *)
 
 val accel_cost : Accel.t -> bytes:int -> int
 (** The accel credit cost the wrappers charge for [bytes]. *)

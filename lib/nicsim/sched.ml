@@ -235,7 +235,6 @@ module Hier = struct
 
   type nonrec 'a t = {
     quantum : int;
-    inner_policy : policy;
     classes : (int, 'a klass) Hashtbl.t;
     rotation : int Queue.t;
     mutable count : int;
@@ -244,13 +243,13 @@ module Hier = struct
     mutable track : int;
   }
 
-  let create ?(inner = Drr { quantum = 1024 }) ~quantum () =
+  (* Stage 2: per-flow DRR inside each class. *)
+  let inner_policy = Drr { quantum = 1024 }
+
+  let create ~quantum () =
     if quantum <= 0 then invalid_arg "Sched.Hier.create: quantum must be positive";
-    (* Validate the inner policy now, not at the first enqueue. *)
-    ignore (s_create inner);
     {
       quantum;
-      inner_policy = inner;
       classes = Hashtbl.create 64;
       rotation = Queue.create ();
       count = 0;
@@ -258,9 +257,6 @@ module Hier = struct
       sink = Obs.null;
       track = 0;
     }
-
-  let inner_policy t = t.inner_policy
-  let quantum t = t.quantum
 
   let set_sink t sink ~track =
     t.sink <- sink;
@@ -270,7 +266,7 @@ module Hier = struct
     match Hashtbl.find_opt t.classes cls with
     | Some k -> k
     | None ->
-      let k = { k_weight = 1; k_inner = s_create t.inner_policy; k_deficit = 0; k_active = false } in
+      let k = { k_weight = 1; k_inner = s_create inner_policy; k_deficit = 0; k_active = false } in
       Hashtbl.add t.classes cls k;
       k
 

@@ -67,13 +67,10 @@ val iter : ('a -> unit) -> 'a t -> unit
 module Hier : sig
   type 'a t
 
-  (** [create ?inner ~quantum ()] — [quantum] is the stage-1 byte credit
-      per weight unit per rotation visit; [inner] is the per-class
-      stage-2 discipline (default [Drr {quantum = 1024}]). *)
-  val create : ?inner:policy -> quantum:int -> unit -> 'a t
-
-  val inner_policy : 'a t -> policy
-  val quantum : 'a t -> int
+  (** [create ~quantum ()] — [quantum] is the stage-1 byte credit per
+      weight unit per rotation visit; stage 2 is per-flow
+      [Drr {quantum = 1024}] inside each class. *)
+  val create : quantum:int -> unit -> 'a t
 
   (** Emits a [wrr_quantum] instant (and bumps the quantum-switch
       counter) on every stage-1 refill. *)

@@ -93,7 +93,5 @@ let translate_run t ~vaddr ~len ~access =
     else miss t vaddr
   | exception Missed -> miss t vaddr
 
-let entry_count t = List.length t.entries
-let capacity t = t.capacity
 let entries t = t.entries
 let mapped_bytes t = List.fold_left (fun acc e -> acc + e.size) 0 t.entries

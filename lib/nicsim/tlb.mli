@@ -55,12 +55,6 @@ val translate : t -> vaddr:int -> access:access -> int option
     Counts one hit per run rather than one per byte. *)
 val translate_run : t -> vaddr:int -> len:int -> access:access -> (int * int) option
 
-(** Number of entries currently installed. *)
-val entry_count : t -> int
-
-(** Maximum number of entries. *)
-val capacity : t -> int
-
 (** All installed entries, most recently installed first. *)
 val entries : t -> entry list
 

@@ -60,7 +60,6 @@ let weighted_report entries =
    across tenants — exactly weighted_report over (id, 1/p99, weight). *)
 
 let inv_latency p = if p > 0. then 1. /. p else 0.
-let latency_jain p99s = jain (List.map inv_latency p99s)
 
 let latency_weighted_report entries =
   weighted_report (List.map (fun (id, p99, w) -> (id, inv_latency p99, w)) entries)

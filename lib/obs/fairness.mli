@@ -28,13 +28,6 @@ val weighted_report : (int * float * float) list -> report
 (** [weighted_report [(id, goodput, weight); ...]] scores how close the
     observed goodput split is to the configured weight split. *)
 
-val latency_jain : float list -> float
-(** Jain's index over per-tenant {e tail latency}, e.g. p99s.  Latency
-    is lower-is-better, so each entry is scored as the service rate
-    [1/p99]: equal tails give 1.0, one tenant starved behind a noisy
-    neighbor drags the index toward [1/n].  Non-positive entries score
-    a rate of 0. *)
-
 val latency_weighted_report : (int * float * float) list -> report
 (** [latency_weighted_report [(id, p99, weight); ...]] — the weighted
     latency variant: a weight-[w] tenant is expected to see a tail

@@ -31,15 +31,13 @@ val add : counter -> int -> unit
 val value : counter -> int
 (** Current count. *)
 
-val default_buckets : float array
-(** Upper bounds used when [?buckets] is omitted: a log-ish ladder from
-    0.25 to 5000, suited to millisecond latencies. *)
-
 val histogram : ?help:string -> ?buckets:float array -> registry -> string -> histogram
 (** [histogram reg name] registers (or retrieves) the histogram [name].
-    [buckets] are strictly increasing finite upper bounds; a [+Inf]
-    overflow bucket is always appended.  Raises [Invalid_argument] if
-    [name] is already a counter, or on a non-increasing bucket ladder. *)
+    [buckets] are strictly increasing finite upper bounds (default: a
+    log-ish ladder from 0.25 to 5000, suited to millisecond latencies);
+    a [+Inf] overflow bucket is always appended.  Raises
+    [Invalid_argument] if [name] is already a counter, or on a
+    non-increasing bucket ladder. *)
 
 val observe : histogram -> float -> unit
 (** Record one observation. *)

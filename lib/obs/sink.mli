@@ -93,9 +93,6 @@ type stat =
   | Fabric_handshake
   | Fabric_failover
 
-val stat_name : stat -> string
-(** Registry name of a hot-path counter, e.g. ["snic_tlb_hit_total"]. *)
-
 type sink
 (** Either the null sink or a recording sink. *)
 
@@ -144,8 +141,9 @@ val instant : sink -> ts:int -> track:int -> cat -> string -> arg:int -> unit
 
 val observe : sink -> string -> float -> unit
 (** Record an observation into the named histogram of the sink's registry
-    (created on first use with {!Metrics.default_buckets}).  No-op on the
-    null sink.  Not for per-cycle hot paths — it does a name lookup. *)
+    (created on first use with {!Metrics.histogram}'s default buckets).
+    No-op on the null sink.  Not for per-cycle hot paths — it does a
+    name lookup. *)
 
 val name_track : sink -> track:int -> string -> unit
 (** Attach a human-readable name to [(pid, track)], exported as Chrome

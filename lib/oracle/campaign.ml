@@ -7,33 +7,13 @@ type report = {
   violations : Refmodel.violation list;
 }
 
-let mode_id = function
-  | Nicsim.Machine.Liquidio_se_s -> "se-s"
-  | Nicsim.Machine.Liquidio_se_um { nf_xkphys = false } -> "se-um"
-  | Nicsim.Machine.Liquidio_se_um { nf_xkphys = true } -> "se-um-xk"
-  | Nicsim.Machine.Agilio -> "agilio"
-  | Nicsim.Machine.Bluefield -> "bluefield"
-  | Nicsim.Machine.Snic -> "snic"
-
-let all_modes =
-  [
-    Nicsim.Machine.Liquidio_se_s;
-    Nicsim.Machine.Liquidio_se_um { nf_xkphys = false };
-    Nicsim.Machine.Liquidio_se_um { nf_xkphys = true };
-    Nicsim.Machine.Agilio;
-    Nicsim.Machine.Bluefield;
-    Nicsim.Machine.Snic;
-  ]
-
-let mode_of_id s = List.find_opt (fun m -> String.equal (mode_id m) s) all_modes
-
 let default_slots = 6
 
 let gen_ops ?(fabric = false) ~slots ~ops ~seed () =
   let rng = Trace.Rng.create ~seed in
   List.init ops (fun _ -> Op.gen ~fabric rng ~slots)
 
-let gen_ops_array ?fabric ~slots ~ops ~seed () = Array.of_list (gen_ops ?fabric ~slots ~ops ~seed ())
+let gen_ops_array ~slots ~ops ~seed () = Array.of_list (gen_ops ~slots ~ops ~seed ())
 
 (* One harness bounds check per 512 ops instead of one list cell per op;
    the interpretation itself is unchanged (Harness.step_batch is step in
@@ -56,7 +36,7 @@ let replay_array ?(slots = default_slots) ~mode ops =
 let replay ?slots ~mode ops = replay_array ?slots ~mode (Array.of_list ops)
 
 let run ?(slots = default_slots) ?fabric ~mode ~ops ~seed () =
-  let r = replay_array ~slots ~mode (gen_ops_array ?fabric ~slots ~ops ~seed ()) in
+  let r = replay_array ~slots ~mode (Array.of_list (gen_ops ?fabric ~slots ~ops ~seed ())) in
   { r with seed = Some seed }
 
 let run_sharded ?domains ?(slots = default_slots) ?fabric ~mode ~ops ~seed ~shards () =
@@ -70,7 +50,7 @@ let counts r =
 
 let to_string r =
   let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "mode: %s (%s)\n" (Nicsim.Machine.mode_name r.mode) (mode_id r.mode));
+  Buffer.add_string b (Printf.sprintf "mode: %s (%s)\n" (Nicsim.Machine.mode_name r.mode) (Nicsim.Machine.mode_id r.mode));
   (match r.seed with
   | Some s -> Buffer.add_string b (Printf.sprintf "seed: %d\n" s)
   | None -> Buffer.add_string b "seed: - (explicit trace)\n");
@@ -92,7 +72,7 @@ let to_string r =
 let trace_to_string ~mode ~slots ops =
   let b = Buffer.create 1024 in
   Buffer.add_string b "# snic-oracle-trace v1\n";
-  Buffer.add_string b (Printf.sprintf "mode %s\n" (mode_id mode));
+  Buffer.add_string b (Printf.sprintf "mode %s\n" (Nicsim.Machine.mode_id mode));
   Buffer.add_string b (Printf.sprintf "slots %d\n" slots);
   List.iter (fun op -> Buffer.add_string b (Op.to_line op ^ "\n")) ops;
   Buffer.contents b
@@ -110,7 +90,7 @@ let trace_of_string s =
       else begin
         match String.split_on_char ' ' trimmed with
         | [ "mode"; id ] -> (
-          match mode_of_id id with
+          match Nicsim.Machine.mode_of_id id with
           | Some m -> go (lineno + 1) ~mode:(Some m) ~slots acc rest
           | None -> Error (Printf.sprintf "line %d: unknown mode %S" lineno id))
         | [ "slots"; n ] -> (

@@ -15,15 +15,6 @@ type report = {
   violations : Refmodel.violation list; (* execution order *)
 }
 
-(** Stable short mode identifiers for CLIs, trace files and CI: "se-s",
-    "se-um", "se-um-xk", "agilio", "bluefield", "snic". *)
-val mode_id : Nicsim.Machine.mode -> string
-
-val mode_of_id : string -> Nicsim.Machine.mode option
-
-(** All five architectures (SE-UM in both flavours), commodity first. *)
-val all_modes : Nicsim.Machine.mode list
-
 (** The default slot population (6). *)
 val default_slots : int
 
@@ -35,9 +26,9 @@ val default_slots : int
     valid. *)
 val gen_ops : ?fabric:bool -> slots:int -> ops:int -> seed:int -> unit -> Op.t list
 
-(** [gen_ops_array] is {!gen_ops} as an array — the form the batched
-    interpreter consumes. *)
-val gen_ops_array : ?fabric:bool -> slots:int -> ops:int -> seed:int -> unit -> Op.t array
+(** [gen_ops_array] is the default (non-fabric) {!gen_ops} stream as an
+    array — the form the batched interpreter consumes. *)
+val gen_ops_array : slots:int -> ops:int -> seed:int -> unit -> Op.t array
 
 (** [replay ?slots ~mode ops] runs an explicit op list on a fresh
     harness. *)

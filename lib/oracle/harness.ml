@@ -98,8 +98,6 @@ let create ~mode ~slots =
     violations = [];
   }
 
-let mode t = t.mode
-let slots t = t.slot_count
 let executed t = t.executed
 let skipped t = t.skipped
 let violations t = List.rev t.violations

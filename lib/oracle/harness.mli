@@ -23,9 +23,6 @@ type t
     [1..8] (each slot gets its own core and DMA bank). *)
 val create : mode:Nicsim.Machine.mode -> slots:int -> t
 
-val mode : t -> Nicsim.Machine.mode
-val slots : t -> int
-
 (** Execute one op; any violations it provokes are appended. *)
 val step : t -> Op.t -> unit
 

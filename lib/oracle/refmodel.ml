@@ -40,8 +40,6 @@ let cls_to_string = function
 let all_classes =
   [ Cross_tenant_read; Cross_tenant_write; Os_read_nf; Accel_hijack; Scrub_residue; Stale_translation; Model_mismatch ]
 
-let cls_of_string s = List.find_opt (fun c -> String.equal (cls_to_string c) s) all_classes
-
 let ideal_breach ~who ~owner ~write =
   match (who, owner) with
   | W_nf s, P_tenant o when o <> s -> Some (if write then Cross_tenant_write else Cross_tenant_read)

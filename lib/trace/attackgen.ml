@@ -13,8 +13,6 @@ type event = {
   size : int; (* wire bytes *)
 }
 
-let kind_name = function Syn -> "SYN" | Ack -> "ACK" | Data -> "DATA"
-
 (* Every TCP scenario targets one victim service; what varies is who the
    sources are and whether they complete the handshake. *)
 let victim_ip = Net.Ipv4_addr.of_octets 203 0 113 10

@@ -13,8 +13,6 @@ type event = {
   size : int; (* wire bytes *)
 }
 
-val kind_name : kind -> string
-
 (** All TCP scenarios target this one victim service. *)
 val victim_ip : Net.Ipv4_addr.t
 

@@ -16,10 +16,6 @@ let next_raw t =
 
 let bits = next_raw
 
-let split t =
-  let s = next_raw t in
-  { state = (s * 0x3C79AC492BA7B653) land max_int }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias for large bounds. *)

@@ -7,10 +7,6 @@ type t
 
 val create : seed:int -> t
 
-(** A fresh generator split off deterministically; streams do not overlap
-    in practice. *)
-val split : t -> t
-
 (** [bits t] draws 62 uniform bits (a non-negative int). *)
 val bits : t -> int
 

@@ -11,8 +11,6 @@
       per event: u32 flow index, u32 wire bytes, u64 time_us
     v} *)
 
-val magic : string
-
 val save : string -> Tracegen.t -> unit
 
 (** [load path] validates the magic, bounds and flow indices. *)

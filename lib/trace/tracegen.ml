@@ -9,11 +9,11 @@ let imix_size rng =
   else if r < 85 then 512 + Rng.int rng 256
   else 1400 + Rng.int rng 118
 
-let ictf_like ?(n_flows = 100_000) ?(skew = 1.1) ?(duration_s = 60.0) ~seed ~packets () =
+let ictf_like ?(n_flows = 100_000) ~seed ~packets () =
   let rng = Rng.create ~seed in
   let flows = Flowgen.flows rng ~n:n_flows in
-  let zipf = Zipf.create ~n:n_flows ~skew in
-  let duration_us = int_of_float (duration_s *. 1e6) in
+  let zipf = Zipf.create ~n:n_flows ~skew:1.1 in
+  let duration_us = 60_000_000 in
   let events =
     Array.init packets (fun i ->
         {
@@ -24,12 +24,12 @@ let ictf_like ?(n_flows = 100_000) ?(skew = 1.1) ?(duration_s = 60.0) ~seed ~pac
   in
   { flows; events }
 
-let caida_like ?(flows_per_sec = 12_000) ?(skew = 1.05) ~seed ~duration_s ~packets () =
+let caida_like ?(flows_per_sec = 12_000) ~seed ~duration_s ~packets () =
   let rng = Rng.create ~seed in
   let total_flows = max 1 (int_of_float (float_of_int flows_per_sec *. duration_s)) in
   let flows = Flowgen.flows rng ~n:total_flows in
   let duration_us = int_of_float (duration_s *. 1e6) in
-  let zipf = Zipf.create ~n:1000 ~skew in
+  let zipf = Zipf.create ~n:1000 ~skew:1.05 in
   let events =
     Array.init packets (fun i ->
         let time_us = if packets = 1 then 0 else i * duration_us / (packets - 1) in
@@ -53,8 +53,8 @@ let distinct_flows_before t cutoff_us =
   Array.iter (fun e -> if e.time_us <= cutoff_us then Hashtbl.replace seen e.flow ()) t.events;
   Hashtbl.length seen
 
-let packets ?(seed = 0x7ace) t =
-  let rng = Rng.create ~seed in
+let packets t =
+  let rng = Rng.create ~seed:0x7ace in
   Array.to_seq t.events
   |> Seq.map (fun e ->
          let flow = t.flows.(e.flow) in

@@ -14,8 +14,6 @@ let create ~n ~skew =
   done;
   { cdf }
 
-let n t = Array.length t.cdf
-
 let sample t rng =
   let u = Rng.float rng in
   (* Binary search for the first rank whose CDF is >= u. *)

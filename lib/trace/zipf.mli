@@ -13,7 +13,5 @@ val create : n:int -> skew:float -> t
 (** [sample t rng] draws a rank; rank 0 is the most popular. *)
 val sample : t -> Rng.t -> int
 
-val n : t -> int
-
 (** [probability t k] is the exact probability of rank [k]. *)
 val probability : t -> int -> float

@@ -36,11 +36,11 @@ let pair_degradations ?packets ?seed ~l2_bytes target =
       snd degs.(0))
     Workload.names
 
-let figure5a ?(l2_sizes = default_l2_sizes) ?packets ?seed () =
+let figure5a ?(l2_sizes = default_l2_sizes) ?packets () =
   List.map
     (fun nf ->
       ( nf,
-        List.map (fun size -> (size, stats_of (pair_degradations ?packets ?seed ~l2_bytes:size nf))) l2_sizes ))
+        List.map (fun size -> (size, stats_of (pair_degradations ?packets ~l2_bytes:size nf))) l2_sizes ))
     Workload.names
 
 let figure5b ?(cotenancy = default_cotenancy) ?(samples = 6) ?packets ?seed () =

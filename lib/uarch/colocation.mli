@@ -8,14 +8,10 @@
 
 type stats = { median : float; p1 : float; p99 : float }
 
-(** [pair_degradations ?packets ?seed ~l2_bytes target] — degradation of
-    [target] in each 2-NF colocation (one per possible partner). [seed]
-    drives the underlying {!Workload.stream} traces (default [0x5EED]). *)
-val pair_degradations : ?packets:int -> ?seed:int -> l2_bytes:int -> string -> float list
-
-(** Figure 5a: per NF, per L2 size, stats over all 2-NF colocations.
-    Default sizes are the paper's 8 KB .. 16 MB sweep. *)
-val figure5a : ?l2_sizes:int list -> ?packets:int -> ?seed:int -> unit -> (string * (int * stats) list) list
+(** Figure 5a: per NF, per L2 size, stats over all 2-NF colocations
+    (one per possible partner) on the default-seed {!Workload.stream}
+    traces.  Default sizes are the paper's 8 KB .. 16 MB sweep. *)
+val figure5a : ?l2_sizes:int list -> ?packets:int -> unit -> (string * (int * stats) list) list
 
 (** Figure 5b: per NF, per co-tenancy degree (default the paper's
     {2,3,4,8,16}), stats over sampled colocation mixes at 4 MB L2.

@@ -8,20 +8,6 @@
     free-for-all bus) at identical co-tenancy. Domains advance in global
     time order, so bus contention is order-faithful. *)
 
-type params = {
-  l1_bytes : int;
-  l1_ways : int;
-  line_bits : int;
-  l2_ways : int;
-  l2_hit_cycles : int;
-  dram_cycles : int; (* latency after the bus transfer completes *)
-  bus_cost : int; (* bus occupancy of one line fill *)
-  epoch : int; (* temporal-partitioning epoch (S-NIC config) *)
-  dead : int;
-}
-
-val default_params : params
-
 type isolation =
   | Baseline (* shared cache, free-for-all bus (commodity) *)
   | Snic (* hard cache partition + temporal bus (the paper's design) *)
@@ -37,14 +23,12 @@ type domain_result = {
   l2_miss_rate : float;
 }
 
-val default_horizon : int
+(** [run ?horizon ~l2_bytes ~isolation streams] co-runs [streams] (one
+    per domain, wrapped cyclically) for [horizon] cycles (default 2M)
+    on the paper's Marvell configuration (32 KB 4-way L1s, 16-way L2,
+    64-byte lines) and returns per-domain results. *)
+val run : ?horizon:int -> l2_bytes:int -> isolation:isolation -> Workload.t array -> domain_result array
 
-(** [run ~params ~l2_bytes ~isolation streams] co-runs [streams] (one per
-    domain, wrapped cyclically) for [horizon] cycles and returns
-    per-domain results. *)
-val run :
-  ?params:params -> ?horizon:int -> l2_bytes:int -> isolation:isolation -> Workload.t array -> domain_result array
-
-(** [degradation ~params ~l2_bytes streams] — per-domain relative IPC
+(** [degradation ?horizon ~l2_bytes streams] — per-domain relative IPC
     loss of [Snic] vs [Baseline], in percent. *)
-val degradation : ?params:params -> ?horizon:int -> l2_bytes:int -> Workload.t array -> (string * float) array
+val degradation : ?horizon:int -> l2_bytes:int -> Workload.t array -> (string * float) array

@@ -8,10 +8,10 @@ let nic_hz = 1.2e9
    payload, post the descriptor): 16 cores at 18k cycles/packet cap the
    pipeline at ~1.07 Mpps, the flat ceiling of the paper's small-frame
    curves. *)
-let default_producer_cycles = 18_000
+let producer_cycles_per_pkt = 18_000
+let producer_cores = 16
 
-let simulate ?(kind = Accel.Dpi) ?(producer_cores = 16) ?(producer_cycles_per_pkt = default_producer_cycles)
-    ?(packets = 4_000) ~threads ~frame_bytes () =
+let simulate ?(kind = Accel.Dpi) ?(packets = 4_000) ~threads ~frame_bytes () =
   let accel = Accel.create ~kind ~threads ~cluster_size:threads in
   (* Producer c emits its k-th packet at (k+1) * cost; merge the 16
      producer timelines in time order and push each frame through the

@@ -14,8 +14,6 @@ type point = { threads : int; frame_bytes : int; mpps : float }
     RAID reuse the same harness as an extension). *)
 val simulate :
   ?kind:Nicsim.Accel.kind ->
-  ?producer_cores:int ->
-  ?producer_cycles_per_pkt:int ->
   ?packets:int ->
   threads:int ->
   frame_bytes:int ->
@@ -25,5 +23,3 @@ val simulate :
 (** The full figure: cluster sizes {16,32,48} x frame sizes
     {64, 512, 1500, 9000}. *)
 val figure8 : ?packets:int -> unit -> point list
-
-val nic_hz : float

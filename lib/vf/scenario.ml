@@ -38,7 +38,7 @@ let prefill_depth = 16
    which keeps the one-packet DRR overshoot small against the credit. *)
 let frame_bytes rng = 64 + Trace.Rng.int rng 960
 
-let run_nic ?(sink = Obs.null) ?(config = Table.default_config) ~nic ~cycles ~seed ~vnics () =
+let drive_nic ~sink ~config ~nic ~cycles ~seed ~vnics =
   if cycles < 1 then invalid_arg "Vf.Scenario.run_nic: cycles must be >= 1";
   let n = List.length vnics in
   if n < 1 then invalid_arg "Vf.Scenario.run_nic: need at least one vNIC";
@@ -122,6 +122,9 @@ let weight_cycle = [| 1; 2; 4; 8 |]
 let default_vnics ~nic ~vfs =
   List.init vfs (fun vf -> ((nic * 10000) + vf + 1, weight_cycle.(vf mod 4)))
 
+let run_nic ?(sink = Obs.null) ~nic ~cycles ~seed ~vnics () =
+  drive_nic ~sink ~config:Table.default_config ~nic ~cycles ~seed ~vnics
+
 let aggregate results =
   let total_pkts = List.fold_left (fun a r -> a + r.scheduled_pkts) 0 results in
   let total_bytes = List.fold_left (fun a r -> a + r.scheduled_bytes) 0 results in
@@ -138,7 +141,7 @@ let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~
   if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
   if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
   aggregate
-    (List.init nics (fun nic -> run_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs) ()))
+    (List.init nics (fun nic -> drive_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs)))
 
 let check ?(min_jain = 0.95) ?(max_err_pct = 5.0) r =
   let err_pct = 100. *. r.max_rel_err in

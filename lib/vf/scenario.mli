@@ -31,15 +31,14 @@ type result = {
 
 val run_nic :
   ?sink:Obs.sink ->
-  ?config:Table.config ->
   nic:int ->
   cycles:int ->
   seed:int ->
   vnics:(int * int) list ->
   unit ->
   nic_result
-(** Drive one NIC whose VF slot [i] hosts the [i]-th [(nf, weight)] of
-    [vnics].  Raises [Invalid_argument] on [cycles < 1] or an empty
+(** Drive one NIC, with the default table config, whose VF slot [i]
+    hosts the [i]-th [(nf, weight)] of [vnics].  Raises [Invalid_argument] on [cycles < 1] or an empty
     vNIC list. *)
 
 val aggregate : nic_result list -> result

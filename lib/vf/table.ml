@@ -17,12 +17,11 @@ open Nicsim
 type config = {
   vfs : int; (* VF slots in the table *)
   quantum : int; (* stage-1 byte quantum per weight unit *)
-  inner_quantum : int; (* stage-2 per-flow DRR quantum *)
   tx_quota : int; (* max queued TX descriptors per VF *)
   rx_quota : int; (* max queued RX descriptors per VF *)
 }
 
-let default_config = { vfs = 256; quantum = 1024; inner_quantum = 1024; tx_quota = 128; rx_quota = 64 }
+let default_config = { vfs = 256; quantum = 1024; tx_quota = 128; rx_quota = 64 }
 
 type desc = { flow : int; bytes : int }
 
@@ -47,7 +46,6 @@ type t = {
   slots : slot array;
   hier : desc Sched.Hier.t;
   mutable attached : int;
-  mutable scheduled : int;
   mutable sink : Obs.sink;
   mutable track : int;
 }
@@ -78,15 +76,13 @@ let create machine config =
             rx = Queue.create ();
             rx_drops = 0;
           });
-    hier = Sched.Hier.create ~inner:(Sched.Drr { quantum = config.inner_quantum }) ~quantum:config.quantum ();
+    hier = Sched.Hier.create ~quantum:config.quantum ();
     attached = 0;
-    scheduled = 0;
     sink = Obs.null;
     track = track_vf;
   }
 
 let config t = t.config
-let machine t = t.machine
 
 let set_sink t sink ~track =
   t.sink <- sink;
@@ -223,7 +219,6 @@ let tx_next t =
     s.inflight <- s.inflight - 1;
     s.tx_bytes <- s.tx_bytes + d.bytes;
     s.tx_pkts <- s.tx_pkts + 1;
-    t.scheduled <- t.scheduled + 1;
     Obs.count t.sink Obs.Vf_tx;
     Some (vf, d)
 
@@ -276,7 +271,6 @@ let stats t ~vf =
     last_doorbell = s.last_doorbell;
   }
 
-let scheduled t = t.scheduled
 let rounds t = Sched.Hier.rounds t.hier
 
 let goodput t =

@@ -15,7 +15,6 @@
 type config = {
   vfs : int;  (** VF slots in the table *)
   quantum : int;  (** stage-1 byte quantum per weight unit *)
-  inner_quantum : int;  (** stage-2 per-flow DRR quantum *)
   tx_quota : int;  (** max queued TX descriptors per VF *)
   rx_quota : int;  (** max queued RX descriptors per VF *)
 }
@@ -32,7 +31,6 @@ val create : Nicsim.Machine.t -> config -> t
 (** Raises [Invalid_argument] on a non-positive VF count or quota. *)
 
 val config : t -> config
-val machine : t -> Nicsim.Machine.t
 
 val track_vf : int
 (** Trace track id for VF scheduler events (after pktio's 910). *)
@@ -102,14 +100,8 @@ type stats = {
 val stats : t -> vf:int -> stats
 (** Per-VF counters since the last attach. *)
 
-val scheduled : t -> int
-(** Total descriptors scheduled out of the table. *)
-
 val rounds : t -> int
 (** Stage-1 quantum refills so far. *)
-
-val goodput : t -> (int * int * int) list
-(** [(vf, weight, tx_bytes)] for every attached VF, ascending by id. *)
 
 val fairness : t -> Obs.Fairness.report
 (** Weighted goodput-share report over the attached VFs. *)

@@ -86,7 +86,7 @@ let test_quarantine_drain_readmit () =
   Nicsim.Machine.set_faults
     (Snic.Api.machine (Fleet.Node.api nodes.(0)))
     (Faults.plan ~seed:9 (Faults.storm ~intensity:1e6 ()));
-  let sup = Fleet.Supervisor.create ~seed:9 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:9 orch in
   let tripped = ref false and probation = ref false and drained = ref false in
   for round = 0 to 11 do
     Fleet.Supervisor.tick sup ~round;
@@ -131,7 +131,7 @@ let test_retry_backoff_exhaustion () =
       { Fleet.Orchestrator.seed = 17; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
   in
   let nodes = Fleet.Orchestrator.nodes orch in
-  let sup = Fleet.Supervisor.create ~seed:17 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:17 orch in
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Supervisor.note_evict sup tenant;
   let plans =
@@ -170,7 +170,7 @@ let test_no_capacity_alarms () =
     Fleet.Orchestrator.create
       { Fleet.Orchestrator.seed = 23; n_nics = 2; n_tenants = 2; policy = Fleet.Policy.First_fit; bytes_per_mb = 1024 }
   in
-  let sup = Fleet.Supervisor.create ~seed:23 orch Fleet.Supervisor.default_config in
+  let sup = Fleet.Supervisor.create ~seed:23 orch in
   Array.iter Fleet.Node.kill (Fleet.Orchestrator.nodes orch);
   let tenant = (Fleet.Orchestrator.tenants orch).(0) in
   Fleet.Orchestrator.evict orch tenant;

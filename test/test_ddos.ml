@@ -302,9 +302,9 @@ let test_run_ddos_snic_invariants () =
   List.iter
     (fun (m : Fleet.Chaos.ddos_mode_report) ->
       Alcotest.(check int)
-        (Oracle.Campaign.mode_id m.dm_mode ^ " drops all attack SYNs")
+        (Nicsim.Machine.mode_id m.dm_mode ^ " drops all attack SYNs")
         m.Fleet.Chaos.dm_attack_pkts m.Fleet.Chaos.dm_attack_dropped;
-      Alcotest.(check bool) (Oracle.Campaign.mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
+      Alcotest.(check bool) (Nicsim.Machine.mode_id m.dm_mode ^ " memory flat") true m.Fleet.Chaos.dm_mem_flat)
     r.Fleet.Chaos.d_mode_reports
 
 (* One clean small run, then one copy per gate with only that field

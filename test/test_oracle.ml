@@ -116,9 +116,9 @@ let test_no_model_mismatch_any_mode () =
         List.filter (fun (v : Refmodel.violation) -> v.cls = Refmodel.Model_mismatch) r.Campaign.violations
       in
       Alcotest.(check int)
-        (Printf.sprintf "%s: zero model-mismatch" (Campaign.mode_id mode))
+        (Printf.sprintf "%s: zero model-mismatch" (Nicsim.Machine.mode_id mode))
         0 (List.length mismatches))
-    Campaign.all_modes
+    Nicsim.Machine.all_modes
 
 let test_snic_clean () =
   List.iter
@@ -187,7 +187,7 @@ let test_commodity_classes () =
       let r = Campaign.run ~mode ~ops:5000 ~seed:42 () in
       let got = classes_of r in
       Alcotest.(check (list string))
-        (Campaign.mode_id mode)
+        (Nicsim.Machine.mode_id mode)
         (List.map Refmodel.cls_to_string (List.sort compare expected))
         (List.map Refmodel.cls_to_string got))
     expectations

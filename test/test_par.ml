@@ -184,7 +184,7 @@ let test_oracle_digest_100k () =
   (* 4 shards x 25k ops = a 100k-op campaign per fan-out.  The summary
      string covers executed counts, per-class tallies and every recorded
      violation, so digest equality is byte-identical reporting. *)
-  let mode = match Oracle.Campaign.mode_of_id "se-s" with Some m -> m | None -> assert false in
+  let mode = match Nicsim.Machine.mode_of_id "se-s" with Some m -> m | None -> assert false in
   List.iter
     (fun seed ->
       let digest domains =
@@ -199,7 +199,7 @@ let test_oracle_digest_100k () =
 
 let test_oracle_replay_paths_agree () =
   (* The batched array interpreter is the list interpreter, sliced. *)
-  let mode = match Oracle.Campaign.mode_of_id "se-s" with Some m -> m | None -> assert false in
+  let mode = match Nicsim.Machine.mode_of_id "se-s" with Some m -> m | None -> assert false in
   let slots = Oracle.Campaign.default_slots in
   let ops = Oracle.Campaign.gen_ops ~slots ~ops:3_000 ~seed:7 () in
   let a = Oracle.Campaign.replay ~mode ops in

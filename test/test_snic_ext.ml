@@ -253,14 +253,14 @@ let suite = suite @ [ Alcotest.test_case "launch-configured DMA windows" `Quick 
 
 let test_enclave_lifecycle () =
   let host = Host.Enclave.make_host ~mem_bytes:(8 * 1024 * 1024) ~epc_bytes:(2 * 1024 * 1024) in
-  let e = Host.Enclave.create host ~name:"e1" in
+  let e = Host.Enclave.create host in
   Alcotest.(check bool) "not yet initialized" false (Host.Enclave.initialized e);
   (match Host.Enclave.add_page e "code page" with Ok () -> () | Error m -> Alcotest.fail m);
   (match Host.Enclave.add_page e "data page" with Ok () -> () | Error m -> Alcotest.fail m);
   let d1 = match Host.Enclave.init e with Ok d -> d | Error m -> Alcotest.fail m in
   Alcotest.(check bool) "initialized" true (Host.Enclave.initialized e);
   (* Measurement is content-determined. *)
-  let e2 = Host.Enclave.create host ~name:"e2" in
+  let e2 = Host.Enclave.create host in
   ignore (Host.Enclave.add_page e2 "code page");
   ignore (Host.Enclave.add_page e2 "data page");
   let d2 = match Host.Enclave.init e2 with Ok d -> d | Error m -> Alcotest.fail m in
@@ -272,7 +272,7 @@ let test_enclave_lifecycle () =
 
 let test_enclave_memory_semantics () =
   let host = Host.Enclave.make_host ~mem_bytes:(8 * 1024 * 1024) ~epc_bytes:(2 * 1024 * 1024) in
-  let e = Host.Enclave.create host ~name:"e" in
+  let e = Host.Enclave.create host in
   ignore (Host.Enclave.add_page e "SECRET-IN-ENCLAVE");
   ignore (Host.Enclave.init e);
   (* The OS sees abort bytes over the EPC, real bytes elsewhere. *)
