@@ -1,12 +1,17 @@
 open Nicsim
 
-type t = { instr : Instructions.t; vendor : Identity.vendor }
+type t = {
+  instr : Instructions.t;
+  vendor : Identity.vendor;
+  mutable tx_seen : int; (* wire frames already parsed into [tx_parsed] *)
+  mutable tx_parsed : Net.Packet.t list; (* the parseable ones, newest first *)
+}
 
 let boot_with ?vendor ?(serial = "0001") ?identity_seed config =
   let vendor = match vendor with Some v -> v | None -> Identity.make_vendor ~name:"Simulated NIC Vendor" () in
   let machine = Machine.create config in
   let identity = Identity.manufacture ?seed:identity_seed vendor ~serial in
-  { instr = Instructions.create machine identity; vendor }
+  { instr = Instructions.create machine identity; vendor; tx_seen = 0; tx_parsed = [] }
 
 let boot ?vendor ?serial ?identity_seed () =
   boot_with ?vendor ?serial ?identity_seed (Machine.default_config ~mode:Machine.Snic)
@@ -109,7 +114,12 @@ let inject t frame = Pktio.deliver (Machine.pktio (machine t)) frame
 let inject_packet t pkt = inject t (Net.Packet.serialize pkt)
 let inject_batch t frames = Pktio.deliver_batch (Machine.pktio (machine t)) frames
 
+(* Each wire frame is parsed once, on the first call that finds it; the
+   only per-call cost left is the oldest-first copy of the history. *)
 let transmitted t =
-  List.filter_map
-    (fun frame -> Result.to_option (Net.Packet.parse frame))
-    (Pktio.wire_out (Machine.pktio (machine t)))
+  let fresh = Pktio.wire_since (Machine.pktio (machine t)) ~count:t.tx_seen in
+  List.iter
+    (fun frame -> match Net.Packet.parse frame with Ok pkt -> t.tx_parsed <- pkt :: t.tx_parsed | Error _ -> ())
+    fresh;
+  t.tx_seen <- t.tx_seen + List.length fresh;
+  List.rev t.tx_parsed

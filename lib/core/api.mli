@@ -68,5 +68,9 @@ val inject_packet : t -> Net.Packet.t -> (int, string) result
     the amortized entry point the fleet front-end batches through. *)
 val inject_batch : t -> Bytes.t list -> int * int
 
-(** Frames transmitted by functions, oldest first. *)
+(** Frames transmitted by functions, oldest first; frames that fail
+    {!Net.Packet.parse} (checksums verified) are left out.  Each wire
+    frame is parsed once, by the first call that sees it; every call then
+    copies the history list once, so a call costs O(new frames + list
+    length) and allocates nothing else when no new frame has left. *)
 val transmitted : t -> Net.Packet.t list

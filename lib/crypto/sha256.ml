@@ -74,7 +74,8 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let feed_sub ctx src pos len =
+let feed_sub ctx src ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length src - len then invalid_arg "Crypto.Sha256.feed_sub";
   ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   while !len > 0 do
@@ -89,7 +90,7 @@ let feed_sub ctx src pos len =
     end
   done
 
-let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
+let feed_bytes ctx b = feed_sub ctx b ~pos:0 ~len:(Bytes.length b)
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s)
 
 let finalize ctx =

@@ -13,6 +13,11 @@ val feed : ctx -> string -> unit
 
 val feed_bytes : ctx -> bytes -> unit
 
+(** [feed_sub ctx b ~pos ~len] absorbs bytes [pos .. pos+len-1] of [b]
+    without copying them out first.  Raises [Invalid_argument] if the
+    range is not inside [b]. *)
+val feed_sub : ctx -> bytes -> pos:int -> len:int -> unit
+
 (** [finalize ctx] returns the 32-byte digest. The context must not be
     used afterwards. *)
 val finalize : ctx -> string

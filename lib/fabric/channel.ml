@@ -3,8 +3,9 @@ type tx = {
   t_chan : int;
   mutable t_next : int;
   t_cap : int;
-  mutable t_buf : string list; (* newest first; capped at t_cap *)
-  mutable t_buf_n : int;
+  t_buf : string array; (* ring of the newest t_cap payloads *)
+  mutable t_head : int; (* slot the next payload goes to *)
+  mutable t_buf_n : int; (* filled slots, at most t_cap *)
   mutable t_sent : int;
   t_tap : string -> unit;
   t_sink : Obs.sink;
@@ -34,7 +35,18 @@ let recv_error_to_string = function
 
 let pair ?(sink = Obs.null) ?(window = 32) ?(buffer = 1024) ?(tap = fun _ -> ()) ~key ~chan () =
   if buffer < 0 then invalid_arg "Fabric.Channel.pair: negative buffer capacity";
-  ( { t_key = key; t_chan = chan; t_next = 0; t_cap = buffer; t_buf = []; t_buf_n = 0; t_sent = 0; t_tap = tap; t_sink = sink },
+  ( {
+      t_key = key;
+      t_chan = chan;
+      t_next = 0;
+      t_cap = buffer;
+      t_buf = Array.make buffer "";
+      t_head = 0;
+      t_buf_n = 0;
+      t_sent = 0;
+      t_tap = tap;
+      t_sink = sink;
+    },
     {
       r_key = key;
       r_chan = chan;
@@ -52,11 +64,11 @@ let send tx payload =
   tx.t_next <- tx.t_next + 1;
   tx.t_sent <- tx.t_sent + 1;
   if tx.t_cap > 0 then begin
-    tx.t_buf <- payload :: tx.t_buf;
-    if tx.t_buf_n >= tx.t_cap then
-      (* Drop the oldest buffered payload; the cap bounds failover state. *)
-      tx.t_buf <- List.filteri (fun i _ -> i < tx.t_cap) tx.t_buf
-    else tx.t_buf_n <- tx.t_buf_n + 1
+    (* Once the ring is full this overwrites the oldest payload; the cap
+       bounds failover state. *)
+    tx.t_buf.(tx.t_head) <- payload;
+    tx.t_head <- (if tx.t_head + 1 = tx.t_cap then 0 else tx.t_head + 1);
+    if tx.t_buf_n < tx.t_cap then tx.t_buf_n <- tx.t_buf_n + 1
   end;
   Obs.count tx.t_sink Obs.Fabric_tx;
   tx.t_tap wire;
@@ -85,7 +97,17 @@ let recv rx wire =
       Obs.count rx.r_sink Obs.Fabric_stale_drop;
       Error (Stale f.Frame.seq))
 
-let buffered tx = List.rev tx.t_buf
+(* Walk back from the newest slot, consing, so the list comes out oldest
+   first. *)
+let buffered tx =
+  let rec walk slot k acc =
+    if k = 0 then acc
+    else
+      let slot = if slot = 0 then tx.t_cap - 1 else slot - 1 in
+      walk slot (k - 1) (tx.t_buf.(slot) :: acc)
+  in
+  walk tx.t_head tx.t_buf_n []
+
 let sent tx = tx.t_sent
 let delivered rx = rx.r_delivered
 let mac_failures rx = rx.r_mac_fail + rx.r_wrong_chan

@@ -29,8 +29,9 @@ val pair :
 val chan : tx -> int
 
 (** [send tx payload] encodes, MACs and buffers one payload; returns the
-    wire bytes.  Raises [Invalid_argument] if the payload exceeds
-    {!Frame.max_payload}. *)
+    wire bytes.  The replay buffer is a fixed ring, so [send] costs O(1)
+    in the buffer size: O(payload) for the frame and its MAC.  Raises
+    [Invalid_argument] if the payload exceeds {!Frame.max_payload}. *)
 val send : tx -> string -> string
 
 (** [recv rx wire] authenticates and de-duplicates one wire frame. *)

@@ -20,11 +20,7 @@ let error_to_string = function
   | Bad_mac -> "frame MAC does not verify"
   | Trailing n -> Printf.sprintf "%d trailing bytes after the frame" n
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
+let put_u32 b pos v = Bytes.set_int32_be b pos (Int32.of_int v)
 
 let get_u32 s pos =
   (Char.code s.[pos] lsl 24)
@@ -32,24 +28,32 @@ let get_u32 s pos =
   lor (Char.code s.[pos + 2] lsl 8)
   lor Char.code s.[pos + 3]
 
+(* [m] equals the [String.length m] bytes of [s] at [pos]; the caller
+   has checked that they are there. *)
+let equal_at s pos m =
+  let rec go i = i = String.length m || (s.[pos + i] = m.[i] && go (i + 1)) in
+  go 0
+
 let encode ~key t =
   if t.chan < 0 || t.chan > u32_max then invalid_arg "Fabric.Frame.encode: chan outside u32";
   if t.seq < 0 || t.seq > u32_max then invalid_arg "Fabric.Frame.encode: seq outside u32";
   if String.length t.payload > max_payload then invalid_arg "Fabric.Frame.encode: payload too long";
-  let b = Buffer.create (overhead + String.length t.payload) in
-  Buffer.add_string b magic;
-  put_u32 b t.chan;
-  put_u32 b t.seq;
-  put_u32 b (String.length t.payload);
-  Buffer.add_string b t.payload;
-  let mac = Crypto.Hmac.mac ~key (Buffer.contents b) in
-  Buffer.add_string b mac;
-  Buffer.contents b
+  let len = String.length t.payload in
+  (* Header, payload and MAC go straight into one exact-size buffer; the
+     MAC is taken over its first [16 + len] bytes in place. *)
+  let b = Bytes.create (overhead + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  put_u32 b 4 t.chan;
+  put_u32 b 8 t.seq;
+  put_u32 b 12 len;
+  Bytes.blit_string t.payload 0 b 16 len;
+  Bytes.blit_string (Crypto.Hmac.mac_sub ~key b ~pos:0 ~len:(16 + len)) 0 b (16 + len) mac_len;
+  Bytes.unsafe_to_string b
 
 let decode ~key s ~pos =
   let avail = String.length s - pos in
   if avail < 16 then Error (Truncated { need = 16; got = max avail 0 })
-  else if not (String.equal (String.sub s pos 4) magic) then Error Bad_magic
+  else if not (equal_at s pos magic) then Error Bad_magic
   else begin
     let chan = get_u32 s (pos + 4) in
     let seq = get_u32 s (pos + 8) in
@@ -59,11 +63,9 @@ let decode ~key s ~pos =
       let need = 16 + len + mac_len in
       if avail < need then Error (Truncated { need; got = avail })
       else begin
-        let payload = String.sub s (pos + 16) len in
-        let mac = String.sub s (pos + 16 + len) mac_len in
-        let expect = Crypto.Hmac.mac ~key (String.sub s pos (16 + len)) in
-        if not (String.equal mac expect) then Error Bad_mac
-        else Ok ({ chan; seq; payload }, pos + need)
+        let expect = Crypto.Hmac.mac_sub ~key (Bytes.unsafe_of_string s) ~pos ~len:(16 + len) in
+        if not (equal_at s (pos + 16 + len) expect) then Error Bad_mac
+        else Ok ({ chan; seq; payload = String.sub s (pos + 16) len }, pos + need)
       end
     end
   end

@@ -19,7 +19,8 @@ type t = {
   mutable rules : (rule_match * int) list; (* insertion order *)
   rings : (int, (int * int) Sched.t) Hashtbl.t; (* nf -> rx descriptors *)
   reservations : (int, reservation) Hashtbl.t;
-  mutable wire : Bytes.t list; (* reversed *)
+  mutable wire : Bytes.t list; (* newest first *)
+  mutable wire_n : int; (* frames put on the wire so far *)
   mutable drops : int;
   mutable faults : Faults.t option;
   mutable sink : Obs.sink;
@@ -36,6 +37,7 @@ let create mem alloc ~rx_buffer_bytes ~tx_buffer_bytes =
     rings = Hashtbl.create 16;
     reservations = Hashtbl.create 16;
     wire = [];
+    wire_n = 0;
     drops = 0;
     faults = None;
     sink = Obs.null;
@@ -209,11 +211,19 @@ let transmit t ~nf:_ ~addr ~len =
     let frame = Bytes.create len in
     Physmem.blit_to_bytes t.mem ~pos:addr frame ~off:0 ~len;
     t.wire <- frame :: t.wire;
+    t.wire_n <- t.wire_n + 1;
     Obs.count t.sink Obs.Pktio_tx
   end;
   Alloc.free t.alloc addr
 
 let wire_out t = List.rev t.wire
+
+(* Walk only the [wire_n - count] newest cells; reversing them on the way
+   yields oldest first. *)
+let wire_since t ~count =
+  let rec take n l acc = if n <= 0 then acc else match l with [] -> acc | f :: rest -> take (n - 1) rest (f :: acc) in
+  take (t.wire_n - count) t.wire []
+
 let drop_count t = t.drops
 
 let recycle t ~addr = Alloc.free t.alloc addr

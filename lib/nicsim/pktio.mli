@@ -89,6 +89,11 @@ val transmit : t -> nf:int -> addr:int -> len:int -> unit
 (** Frames that left on the wire, oldest first. *)
 val wire_out : t -> Bytes.t list
 
+(** [wire_since t ~count] is the frames that left on the wire after the
+    first [count], oldest first: the suffix of {!wire_out} past [count],
+    in time linear in its length rather than in the whole history. *)
+val wire_since : t -> count:int -> Bytes.t list
+
 val drop_count : t -> int
 
 (** [recycle t ~addr] returns a popped RX buffer to the allocator without

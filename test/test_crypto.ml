@@ -129,6 +129,19 @@ let prop_hmac_keyed =
     (QCheck.pair QCheck.small_string QCheck.small_string)
     (fun (k, m) -> String.equal (Crypto.Hmac.mac ~key:k m) (Crypto.Hmac.mac ~key:(k ^ "x") m) = false)
 
+let prop_hmac_sub_in_place =
+  QCheck.Test.make ~name:"hmac over a slice = hmac of String.sub" ~count:200
+    (QCheck.triple
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 100))
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 300))
+       (QCheck.pair QCheck.small_nat QCheck.small_nat))
+    (fun (key, s, (a, b)) ->
+      let pos = a mod (String.length s + 1) in
+      let len = b mod (String.length s - pos + 1) in
+      String.equal
+        (Crypto.Hmac.mac_sub ~key (Bytes.of_string s) ~pos ~len)
+        (Crypto.Hmac.mac ~key (String.sub s pos len)))
+
 let suite =
   [
     Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
@@ -142,6 +155,7 @@ let suite =
     Alcotest.test_case "cipher roundtrip" `Quick test_cipher_roundtrip;
     QCheck_alcotest.to_alcotest prop_cipher_roundtrip;
     QCheck_alcotest.to_alcotest prop_hmac_keyed;
+    QCheck_alcotest.to_alcotest prop_hmac_sub_in_place;
   ]
 
 let test_dh_full_strength () =

@@ -238,7 +238,44 @@ let test_channel_buffer_and_tap () =
       match Fabric.Frame.decode_exact ~key:key_a w with
       | Ok f -> Alcotest.(check int) "tapped frame on chan 4" 4 f.Fabric.Frame.chan
       | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e))
-    !taps
+    !taps;
+  (* The ring against a list model, after every send: below the cap, at
+     it, and past several wraparounds.  Cap 0 buffers nothing. *)
+  List.iter
+    (fun cap ->
+      let tx, _rx = Fabric.Channel.pair ~buffer:cap ~key:key_a ~chan:4 () in
+      let sent = ref [] in
+      for i = 1 to (3 * cap) + 2 do
+        let p = Printf.sprintf "p%d" i in
+        ignore (Fabric.Channel.send tx p);
+        sent := p :: !sent;
+        let model = List.rev (List.filteri (fun j _ -> j < cap) !sent) in
+        Alcotest.(check (list string)) (Printf.sprintf "cap %d after %d sends: newest %d, oldest first" cap i cap) model
+          (Fabric.Channel.buffered tx)
+      done)
+    [ 0; 1; 3 ]
+
+(* Once the ring is full, a send allocates the same whatever the buffer
+   capacity: the cost is the frame and its MAC, not the backlog. *)
+let test_channel_send_alloc_flat () =
+  let words_per_send cap =
+    let tx, _rx = Fabric.Channel.pair ~buffer:cap ~key:key_a ~chan:4 () in
+    let payload = String.make 256 'x' in
+    for _ = 1 to cap + 10 do
+      ignore (Fabric.Channel.send tx payload)
+    done;
+    let iters = 500 in
+    let before = Gc.minor_words () in
+    for _ = 1 to iters do
+      ignore (Fabric.Channel.send tx payload)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int iters
+  in
+  let small = words_per_send 16 and large = words_per_send 4096 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per send at buffer 16 (%.1f) and 4096 (%.1f) agree" small large)
+    true
+    (Float.abs (large -. small) <= 4.0)
 
 (* ---------- Endpoint establishment (live S-NIC attestation) ---------- *)
 
@@ -454,6 +491,7 @@ let suite =
     Alcotest.test_case "channel wrong channel" `Quick test_channel_wrong_channel;
     Alcotest.test_case "channel garbage" `Quick test_channel_garbage;
     Alcotest.test_case "channel buffer + tap" `Quick test_channel_buffer_and_tap;
+    Alcotest.test_case "channel send allocation flat in buffer size" `Quick test_channel_send_alloc_flat;
     Alcotest.test_case "establish loopback" `Quick test_establish_loopback;
     Alcotest.test_case "establish dead endpoint" `Quick test_establish_dead_endpoint;
     Alcotest.test_case "establish mis-staged image" `Quick test_establish_misstaged_image;

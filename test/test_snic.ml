@@ -2,9 +2,9 @@ open Nicsim
 
 let ip = Net.Ipv4_addr.of_string
 
-let sample_packet ?(dport = 8080) () =
+let sample_packet ?(dport = 8080) ?(payload = "hello snic") () =
   Net.Packet.make ~src_ip:(ip "10.1.1.1") ~dst_ip:(ip "198.51.100.7") ~proto:Net.Packet.Udp ~src_port:3333
-    ~dst_port:dport "hello snic"
+    ~dst_port:dport payload
 
 let boot () = Snic.Api.boot ()
 
@@ -230,6 +230,78 @@ let test_vnic_runs_real_nat () =
         Alcotest.(check string) "rewritten source" "203.0.113.1" (Net.Ipv4_addr.to_string p.src_ip))
       out
 
+(* The old [transmitted]: re-parse the whole wire history on every call.
+   The memoized read must return exactly this. *)
+let reparse_transmitted api =
+  List.filter_map (fun f -> Result.to_option (Net.Packet.parse f)) (Pktio.wire_out (Machine.pktio (Snic.Api.machine api)))
+
+let forward_all = { Nf.Types.name = "forward"; process = (fun p -> Nf.Types.Forward p) }
+
+let burst api vnic ~first n =
+  ignore
+    (Snic.Api.inject_batch api
+       (List.init n (fun i -> Net.Packet.serialize (sample_packet ~payload:(Printf.sprintf "frame %d" (first + i)) ()))));
+  ignore (Snic.Vnic.process vnic forward_all ~max:n)
+
+let test_transmitted_matches_reparse () =
+  let api = boot () in
+  let vnic = Result.get_ok (Snic.Api.nf_create api basic_config) in
+  let m = Snic.Api.machine api in
+  let io = Machine.pktio m in
+  let check what =
+    let serialized l = List.map (fun p -> Bytes.to_string (Net.Packet.serialize p)) l in
+    Alcotest.(check (list string)) what (serialized (reparse_transmitted api)) (serialized (Snic.Api.transmitted api))
+  in
+  check "empty wire";
+  burst api vnic ~first:0 5;
+  check "after the first burst";
+  check "no new frames";
+  check "still no new frames";
+  (* A frame with a bad L4 checksum reaches the wire raw (ingress does not
+     verify checksums) and must be filtered by both reads. *)
+  let bad = Net.Packet.serialize (sample_packet ()) in
+  let last = Bytes.length bad - 1 in
+  Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 0xFF));
+  ignore (Snic.Api.inject_batch api [ bad ]);
+  (match Snic.Vnic.rx vnic with
+  | Some (addr, len) -> Pktio.transmit io ~nf:(Snic.Vnic.id vnic) ~addr ~len
+  | None -> Alcotest.fail "bad-checksum frame not queued");
+  Alcotest.(check int) "bad frame on the wire" 6 (List.length (Pktio.wire_out io));
+  check "bad-checksum frame filtered";
+  Alcotest.(check int) "five parseable" 5 (List.length (Snic.Api.transmitted api));
+  burst api vnic ~first:5 7;
+  check "after a second burst";
+  (* Injected TX drops: fewer frames reach the wire than the NF sends. *)
+  let plan = Faults.plan ~seed:3 { Faults.none with Faults.tx_drop = 0.5 } in
+  Machine.set_faults m plan;
+  burst api vnic ~first:12 20;
+  Alcotest.(check bool) "some frames eaten at egress" true (Faults.count plan Faults.Tx_drop > 0);
+  Alcotest.(check int) "wire = transmits - drops" (6 + 7 + 20 - Faults.count plan Faults.Tx_drop)
+    (List.length (Pktio.wire_out io));
+  check "after TX drops";
+  burst api vnic ~first:32 9;
+  check "interleaved again";
+  check "and idle"
+
+(* With the history parsed, a call that finds nothing new allocates only
+   the oldest-first copy it returns: 3 words per cons cell. *)
+let test_transmitted_alloc_budget () =
+  let api = boot () in
+  let vnic = Result.get_ok (Snic.Api.nf_create api basic_config) in
+  for b = 0 to 49 do
+    burst api vnic ~first:(b * 41) 41
+  done;
+  let n = List.length (Snic.Api.transmitted api) in
+  Alcotest.(check bool) (Printf.sprintf "%d frames on the wire" n) true (n >= 2000);
+  let before = Gc.minor_words () in
+  let out = Snic.Api.transmitted api in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "same history" n (List.length out);
+  Alcotest.(check bool)
+    (Printf.sprintf "idle read allocates %.0f words for %d frames" words n)
+    true
+    (words <= (3. *. float_of_int n) +. 32.)
+
 let test_vnic_cross_isolation () =
   let api = boot () in
   let v0 = Result.get_ok (Snic.Api.nf_create api basic_config) in
@@ -371,6 +443,8 @@ let suite =
     Alcotest.test_case "destroy after id reuse" `Quick test_destroy_after_id_reuse;
     Alcotest.test_case "vnic packet roundtrip" `Quick test_vnic_packet_roundtrip;
     Alcotest.test_case "vnic runs real NAT" `Quick test_vnic_runs_real_nat;
+    Alcotest.test_case "transmitted = full re-parse" `Quick test_transmitted_matches_reparse;
+    Alcotest.test_case "transmitted allocation budget" `Quick test_transmitted_alloc_budget;
     Alcotest.test_case "vnic cross isolation" `Quick test_vnic_cross_isolation;
     Alcotest.test_case "attestation handshake" `Slow test_attestation_handshake;
     Alcotest.test_case "attestation rejections" `Slow test_attestation_rejects;
