@@ -8,6 +8,7 @@ let () =
       ("nf", Test_nf.suite);
       ("nf-ext", Test_nf_ext.suite);
       ("nicsim", Test_nicsim.suite);
+      ("cache", Test_cache.suite);
       ("sched", Test_sched.suite);
       ("snic", Test_snic.suite);
       ("snic-ext", Test_snic_ext.suite);
