@@ -2,8 +2,8 @@ type mode = Shared | Soft | Hard | Secdcp
 type result = Hit | Miss
 type stats = { hits : int; misses : int; evicted_by_others : int }
 
-type line = { mutable tag : int; mutable valid : bool; mutable owner : int; mutable lru : int }
-
+(* Struct of arrays: line [set * ways + way] is [tags.(i)], [owners.(i)]
+   (-1 = invalid) and [lru.(i)]. Nothing on the access path allocates. *)
 type t = {
   sets : int;
   set_bits : int;
@@ -11,15 +11,37 @@ type t = {
   line_bits : int;
   mode : mode;
   domains : int;
-  lines : line array; (* sets * ways, row-major *)
+  tags : int array;
+  owners : int array;
+  lru : int array;
   mutable clock : int;
-  per_domain : stats array;
-  alloc : int array; (* ways per domain (Hard/Secdcp); prefix-summed into ranges *)
+  hits : int array;
+  misses : int array;
+  evicted : int array; (* evicted_by_others *)
+  resident : int array; (* valid lines owned, per domain *)
+  alloc : int array; (* ways per domain (Soft/Hard/Secdcp) *)
+  fill_lo : int array; (* fill ways of domain d are [fill_lo.(d), fill_hi.(d)) *)
+  fill_hi : int array;
   mutable os_hits_mark : int; (* domain-0 stats at the last rebalance *)
   mutable os_misses_mark : int;
   mutable sink : Obs.sink;
   mutable track : int;
 }
+
+(* Prefix-sum [alloc] into per-domain fill ranges; every domain fills
+   anywhere in [Shared]. *)
+let layout t =
+  let lo = ref 0 in
+  for d = 0 to t.domains - 1 do
+    match t.mode with
+    | Shared ->
+      t.fill_lo.(d) <- 0;
+      t.fill_hi.(d) <- t.ways
+    | Soft | Hard | Secdcp ->
+      t.fill_lo.(d) <- !lo;
+      lo := !lo + t.alloc.(d);
+      t.fill_hi.(d) <- !lo
+  done
 
 let create ~sets ~ways ~line_bits ~mode ~domains =
   if sets <= 0 || sets land (sets - 1) <> 0 then invalid_arg "Cache.create: sets must be a power of two";
@@ -28,123 +50,134 @@ let create ~sets ~ways ~line_bits ~mode ~domains =
   if mode <> Shared && ways < domains then invalid_arg "Cache.create: need at least one way per domain";
   if mode = Secdcp && domains < 2 then invalid_arg "Cache.create: Secdcp needs the OS plus at least one function";
   let set_bits = (let rec lg n = if n <= 1 then 0 else 1 + lg (n / 2) in lg sets) in
-  (* Even initial split with leftovers to low domains. *)
-  let alloc =
-    Array.init domains (fun d -> (ways / domains) + if d < ways mod domains then 1 else 0)
+  let n = sets * ways in
+  let t =
+    {
+      sets;
+      set_bits;
+      ways;
+      line_bits;
+      mode;
+      domains;
+      tags = Array.make n 0;
+      owners = Array.make n (-1);
+      lru = Array.make n 0;
+      clock = 0;
+      hits = Array.make domains 0;
+      misses = Array.make domains 0;
+      evicted = Array.make domains 0;
+      resident = Array.make domains 0;
+      (* Even initial split with leftovers to low domains. *)
+      alloc = Array.init domains (fun d -> (ways / domains) + if d < ways mod domains then 1 else 0);
+      fill_lo = Array.make domains 0;
+      fill_hi = Array.make domains 0;
+      os_hits_mark = 0;
+      os_misses_mark = 0;
+      sink = Obs.null;
+      track = 0;
+    }
   in
-  {
-    sets;
-    set_bits;
-    ways;
-    line_bits;
-    mode;
-    domains;
-    lines = Array.init (sets * ways) (fun _ -> { tag = 0; valid = false; owner = -1; lru = 0 });
-    clock = 0;
-    per_domain = Array.make domains { hits = 0; misses = 0; evicted_by_others = 0 };
-    alloc;
-    os_hits_mark = 0;
-    os_misses_mark = 0;
-    sink = Obs.null;
-    track = 0;
-  }
+  layout t;
+  t
 
 let set_sink t sink ~track =
   t.sink <- sink;
   t.track <- track
 
+let check_domain t domain msg = if domain < 0 || domain >= t.domains then invalid_arg msg
+
 let fill_ways t ~domain =
-  match t.mode with
-  | Shared -> (0, t.ways)
-  | Soft | Hard | Secdcp ->
-    let lo = ref 0 in
-    for d = 0 to domain - 1 do
-      lo := !lo + t.alloc.(d)
-    done;
-    (!lo, !lo + t.alloc.(domain))
+  check_domain t domain "Cache.fill_ways: bad domain";
+  (t.fill_lo.(domain), t.fill_hi.(domain))
 
-let allocation t ~domain = match t.mode with Shared -> t.ways | Soft | Hard | Secdcp -> t.alloc.(domain)
-
-let bump t domain f =
-  let s = t.per_domain.(domain) in
-  t.per_domain.(domain) <- f s
+let allocation t ~domain =
+  check_domain t domain "Cache.allocation: bad domain";
+  t.fill_hi.(domain) - t.fill_lo.(domain)
 
 let access t ~domain ~addr =
-  if domain < 0 || domain >= t.domains then invalid_arg "Cache.access: bad domain";
+  check_domain t domain "Cache.access: bad domain";
   t.clock <- t.clock + 1;
   let line_addr = addr lsr t.line_bits in
   let set = line_addr land (t.sets - 1) in
   let tag = line_addr lsr t.set_bits in
   let row = set * t.ways in
-  let hit_lo, hit_hi = match t.mode with Hard | Secdcp -> fill_ways t ~domain | Shared | Soft -> (0, t.ways) in
-  let found = ref None in
-  for w = hit_lo to hit_hi - 1 do
-    let l = t.lines.(row + w) in
-    if !found = None && l.valid && l.tag = tag then found := Some l
+  (* Hits are confined to the domain's ways only under hard partitioning. *)
+  let confined = match t.mode with Hard | Secdcp -> true | Shared | Soft -> false in
+  let hit_hi = row + if confined then t.fill_hi.(domain) else t.ways in
+  let i = ref (row + if confined then t.fill_lo.(domain) else 0) in
+  while !i < hit_hi && not (t.owners.(!i) >= 0 && t.tags.(!i) = tag) do
+    incr i
   done;
-  match !found with
-  | Some l ->
-    l.lru <- t.clock;
-    bump t domain (fun s -> { s with hits = s.hits + 1 });
+  if !i < hit_hi then begin
+    t.lru.(!i) <- t.clock;
+    t.hits.(domain) <- t.hits.(domain) + 1;
     Obs.count t.sink Obs.Cache_hit;
     Hit
-  | None ->
-    bump t domain (fun s -> { s with misses = s.misses + 1 });
+  end
+  else begin
+    t.misses.(domain) <- t.misses.(domain) + 1;
     Obs.count t.sink Obs.Cache_miss;
     Obs.count t.sink Obs.Cache_fill;
-    (* Fill: evict LRU among the domain's fill ways. *)
-    let lo, hi = fill_ways t ~domain in
-    let victim = ref t.lines.(row + lo) in
-    for w = lo to hi - 1 do
-      let l = t.lines.(row + w) in
-      if (not l.valid) && !victim.valid then victim := l
-      else if l.valid && !victim.valid && l.lru < !victim.lru then victim := l
+    (* Fill the domain's first invalid way, else its least recently used. *)
+    let lo = row + t.fill_lo.(domain) and hi = row + t.fill_hi.(domain) in
+    let victim = ref lo in
+    let j = ref lo in
+    while !j < hi && t.owners.(!victim) >= 0 do
+      if t.owners.(!j) < 0 || t.lru.(!j) < t.lru.(!victim) then victim := !j;
+      incr j
     done;
     let v = !victim in
-    if v.valid && v.owner >= 0 && v.owner <> domain then begin
-      bump t v.owner (fun s -> { s with evicted_by_others = s.evicted_by_others + 1 });
-      (* Cross-domain evictions are the cache side channel — worth a
-         point event each, not just a count. *)
-      Obs.count t.sink Obs.Cache_evict;
-      Obs.instant t.sink ~ts:t.clock ~track:t.track Obs.Cache "cache_evict" ~arg:v.owner
+    let old = t.owners.(v) in
+    if old >= 0 then begin
+      t.resident.(old) <- t.resident.(old) - 1;
+      if old <> domain then begin
+        t.evicted.(old) <- t.evicted.(old) + 1;
+        (* Cross-domain evictions are the cache side channel — worth a
+           point event each, not just a count. *)
+        Obs.count t.sink Obs.Cache_evict;
+        Obs.instant t.sink ~ts:t.clock ~track:t.track Obs.Cache "cache_evict" ~arg:old
+      end
     end;
-    v.tag <- tag;
-    v.valid <- true;
-    v.owner <- domain;
-    v.lru <- t.clock;
+    t.tags.(v) <- tag;
+    t.owners.(v) <- domain;
+    t.lru.(v) <- t.clock;
+    t.resident.(domain) <- t.resident.(domain) + 1;
     Miss
+  end
 
+(* A domain's lines lie in its fill ways ([rebalance] flushes everything
+   whenever those move), so only [Shared] needs to walk every way. The
+   walk stops at the domain's last resident line. *)
 let flush_domain t d =
-  Array.iter
-    (fun l ->
-      if l.valid && l.owner = d then begin
-        l.valid <- false;
-        l.owner <- -1
-      end)
-    t.lines
-
-let stats t ~domain = t.per_domain.(domain)
-
-let occupancy t ~domain =
-  Array.fold_left (fun acc l -> if l.valid && l.owner = domain then acc + 1 else acc) 0 t.lines
-
-let flush_way t w =
-  for set = 0 to t.sets - 1 do
-    let l = t.lines.((set * t.ways) + w) in
-    l.valid <- false;
-    l.owner <- -1
+  check_domain t d "Cache.flush_domain: bad domain";
+  let lo = t.fill_lo.(d) and hi = t.fill_hi.(d) in
+  let row = ref 0 in
+  while t.resident.(d) > 0 && !row < Array.length t.owners do
+    for i = !row + lo to !row + hi - 1 do
+      if t.owners.(i) = d then begin
+        t.owners.(i) <- -1;
+        t.resident.(d) <- t.resident.(d) - 1
+      end
+    done;
+    row := !row + t.ways
   done
 
-(* Move one way at boundary [from_domain -> to_domain] by adjusting the
-   allocation vector; flush every way past the smallest affected range
-   boundary, because way indices shift meaning. Conservative but simple,
-   and certainly leak-free. *)
+let stats t ~domain =
+  check_domain t domain "Cache.stats: bad domain";
+  { hits = t.hits.(domain); misses = t.misses.(domain); evicted_by_others = t.evicted.(domain) }
+
+let occupancy t ~domain =
+  check_domain t domain "Cache.occupancy: bad domain";
+  t.resident.(domain)
+
+(* Move one way between domain 0 and a function by adjusting the
+   allocation vector, then flush every line, because way indices shift
+   meaning. Conservative but simple, and certainly leak-free. *)
 let rebalance t =
   if t.mode <> Secdcp then invalid_arg "Cache.rebalance: only meaningful in Secdcp mode";
-  let os = t.per_domain.(0) in
-  let hits = os.hits - t.os_hits_mark and misses = os.misses - t.os_misses_mark in
-  t.os_hits_mark <- os.hits;
-  t.os_misses_mark <- os.misses;
+  let hits = t.hits.(0) - t.os_hits_mark and misses = t.misses.(0) - t.os_misses_mark in
+  t.os_hits_mark <- t.hits.(0);
+  t.os_misses_mark <- t.misses.(0);
   let total = hits + misses in
   if total = 0 then 0
   else begin
@@ -180,9 +213,10 @@ let rebalance t =
       t.alloc.(d) <- t.alloc.(d) + 1;
       moved := 1
     end;
-    if !moved > 0 then
-      for w = 0 to t.ways - 1 do
-        flush_way t w
-      done;
+    if !moved > 0 then begin
+      layout t;
+      Array.fill t.owners 0 (Array.length t.owners) (-1);
+      Array.fill t.resident 0 t.domains 0
+    end;
     !moved
   end

@@ -113,14 +113,23 @@ let model_free_clusters t =
   in
   Accel.cluster_count (dpi t) - claimed
 
-(* Recognizable, never-zero per-launch fill patterns. *)
-let secret t ~slot ~len =
-  let g = t.launches in
-  String.init len (fun i -> Char.chr (0x41 + ((i + (slot * 7) + (g * 13)) mod 26)))
+(* Recognizable, never-zero per-launch fill patterns: the alphabet from
+   [base], rotated by [phase]. Up to [pattern_table] bytes (every
+   generated image and the host window) they are one [String.sub] of a
+   cyclic table built once; replayed traces may carry any [kb], so
+   longer ones are built byte by byte. *)
+let pattern_table = 16 * 1024
+let cyclic base = String.init (pattern_table + 26) (fun i -> Char.chr (base + (i mod 26)))
+let upper = cyclic 0x41
+let lower = cyclic 0x61
 
-let host_pattern t ~slot =
-  let g = t.launches in
-  String.init hwin_len (fun i -> Char.chr (0x61 + ((i + slot + (g * 5)) mod 26)))
+let pattern table ~phase ~len =
+  let phase = phase mod 26 in
+  if len <= pattern_table then String.sub table phase len
+  else String.init len (fun i -> table.[(i + phase) mod 26])
+
+let secret ~slot ~launches ~len = pattern upper ~phase:((slot * 7) + (launches * 13)) ~len
+let host_pattern ~slot ~launches = pattern lower ~phase:(slot + (launches * 5)) ~len:hwin_len
 
 (* Keep a randomly drawn offset inside [0, len - alen]. *)
 let clamp ~len ~alen off = if len <= alen then 0 else off mod (len - alen + 1)
@@ -160,14 +169,14 @@ let sub_shadow u ~off ~len = Bytes.sub_string u.shadow off len
 
 let install_host_window t ~slot =
   let host = Dma.host_mem (Machine.dma t.machine) in
-  let pat = host_pattern t ~slot in
+  let pat = host_pattern ~slot ~launches:t.launches in
   Physmem.write_bytes host ~pos:(hwin_base slot) pat;
   Bytes.of_string pat
 
 let snic_launch t idx op ~slot ~mem_kb ~accel ~rules =
   let insns = Option.get t.insns in
   let len = mem_kb * 1024 in
-  let image = secret t ~slot ~len in
+  let image = secret ~slot ~launches:t.launches ~len in
   let free = model_free_clusters t in
   let config =
     {
@@ -230,7 +239,7 @@ let commodity_launch t idx op ~slot ~mem_kb ~accel ~rules =
     Machine.bind_core m ~core:slot ~nf;
     ignore (Tlb.map_region (Machine.core_tlb m ~core:slot) ~vbase:vbase_const ~pbase:base ~len ~writable:true);
     if t.mode = Machine.Bluefield then Machine.set_secure m ~pos:base ~len true;
-    let image = secret t ~slot ~len in
+    let image = secret ~slot ~launches:t.launches ~len in
     Physmem.write_bytes mem ~pos:base image;
     if rules then begin
       (match Pktio.reserve (Machine.pktio m) ~nf ~rx_bytes:8192 ~tx_bytes:8192 with

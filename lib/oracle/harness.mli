@@ -41,3 +41,12 @@ val skipped : t -> int
 
 (** Violations so far, in execution order. *)
 val violations : t -> Refmodel.violation list
+
+(** [secret ~slot ~launches ~len] is the image a tenant launched into
+    [slot] after [launches] earlier launches is filled with: ['A'..'Z']
+    repeating, rotated by [slot * 7 + launches * 13]. *)
+val secret : slot:int -> launches:int -> len:int -> string
+
+(** [host_pattern ~slot ~launches] fills the slot's 16 KB host DMA
+    window the same way: ['a'..'z'] rotated by [slot + launches * 5]. *)
+val host_pattern : slot:int -> launches:int -> string

@@ -1,9 +1,15 @@
 (* Cache model gates.
 
-   Golden: the paper outputs the L2 model drives (Figure 5's co-run IPC
-   model, Figure 5a medians and the cache-isolation ablation), pinned
-   exactly — integers as-is, floats printed %.17g — so any change to the
-   cache's victim choice, hit search or statistics shows up as a diff. *)
+   - Golden: the paper outputs the L2 model drives (Figure 5's co-run IPC
+     model, Figure 5a medians and the cache-isolation ablation), pinned
+     exactly — integers as-is, floats printed %.17g — so any change to
+     the cache's victim choice, hit search or statistics shows up as a
+     diff.
+   - Differential: random access/flush/rebalance sequences against the
+     record-per-line reference in cache_ref.ml, comparing every result,
+     statistic and sink event, plus the same sequence under the null sink.
+   - Allocation budgets for access, an empty flush and create, and the
+     domain range checks. *)
 
 open Nicsim
 
@@ -119,15 +125,260 @@ let expected_ablation =
     "secdcp prime+probe=0 reload=0";
   ]
 
-let check_lines what expected observed = Alcotest.(check (list string)) what expected observed
+let test_golden_cpu_model () =
+  Alcotest.(check (list string)) "Cpu_model.run, four isolations" expected_cpu_model (cpu_model_lines ())
 
-let test_golden_cpu_model () = check_lines "Cpu_model.run, four isolations" expected_cpu_model (cpu_model_lines ())
-let test_golden_figure5a () = check_lines "figure5a 64 KB medians" expected_figure5a (figure5a_lines ())
-let test_golden_ablation () = check_lines "ablation_cache deltas" expected_ablation (ablation_lines ())
+let test_golden_figure5a () =
+  Alcotest.(check (list string)) "figure5a 64 KB medians" expected_figure5a (figure5a_lines ())
+
+let test_golden_ablation () = Alcotest.(check (list string)) "ablation_cache deltas" expected_ablation (ablation_lines ())
+
+(* ---------- differential against the record model ---------- *)
+
+type op = Access of int * int (* domain, address *) | Flush of int | Rebalance
+
+type case = { mode : int; sets : int; ways : int; domains : int; line_bits : int; ops : op list }
+
+let modes = Cache.[| Shared; Soft; Hard; Secdcp |]
+let ref_modes = Cache_ref.[| Shared; Soft; Hard; Secdcp |]
+let mode_names = [| "Shared"; "Soft"; "Hard"; "Secdcp" |]
+
+let show_op = function
+  | Access (d, a) -> Printf.sprintf "access d%d 0x%x" d a
+  | Flush d -> Printf.sprintf "flush d%d" d
+  | Rebalance -> "rebalance"
+
+let show_case c =
+  Printf.sprintf "%s sets=%d ways=%d domains=%d line_bits=%d [%s]" mode_names.(c.mode) c.sets c.ways c.domains
+    c.line_bits
+    (String.concat "; " (List.map show_op c.ops))
+
+(* Geometries within create's preconditions: sets 1-16 (powers of two),
+   ways 1-8, domains 1-4, at least one way per domain when partitioned
+   and two domains under Secdcp. Half the addresses come from four hot
+   lines so domain 0's miss rate crosses both rebalance thresholds. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* mode = int_bound 3 in
+  let* sets = map (fun k -> 1 lsl k) (int_bound 4) in
+  let* domains = int_range (if mode = 3 then 2 else 1) 4 in
+  let* ways = int_range (if mode = 0 then 1 else domains) 8 in
+  let* line_bits = int_bound 6 in
+  let addr =
+    let* line = oneof [ int_bound 3; int_bound (4 * sets * ways) ] in
+    let* offset = int_bound ((1 lsl line_bits) - 1) in
+    return ((line lsl line_bits) lor offset)
+  in
+  let op =
+    frequency
+      [
+        (12, map2 (fun d a -> Access (d, a)) (int_bound (domains - 1)) addr);
+        (2, map (fun d -> Flush d) (int_bound (domains - 1)));
+        (1, return Rebalance);
+      ]
+  in
+  let* n = int_range 1 250 in
+  let* ops = list_repeat n op in
+  return { mode; sets; ways; domains; line_bits; ops }
+
+(* One cache implementation seen through the operations under test. *)
+type model = {
+  access : domain:int -> addr:int -> bool; (* hit? *)
+  flush : int -> unit;
+  rebalance : unit -> (int, string) result;
+  stats : int -> int * int * int;
+  occupancy : int -> int;
+  fill_ways : int -> int * int;
+  allocation : int -> int;
+}
+
+let rebalance_result f = try Ok (f ()) with Invalid_argument m -> Error m
+
+let cache_model c sink =
+  let c = Cache.create ~sets:c.sets ~ways:c.ways ~line_bits:c.line_bits ~mode:modes.(c.mode) ~domains:c.domains in
+  Cache.set_sink c sink ~track:3;
+  {
+    access = (fun ~domain ~addr -> Cache.access c ~domain ~addr = Cache.Hit);
+    flush = Cache.flush_domain c;
+    rebalance = (fun () -> rebalance_result (fun () -> Cache.rebalance c));
+    stats =
+      (fun domain ->
+        let s = Cache.stats c ~domain in
+        (s.hits, s.misses, s.evicted_by_others));
+    occupancy = (fun domain -> Cache.occupancy c ~domain);
+    fill_ways = (fun domain -> Cache.fill_ways c ~domain);
+    allocation = (fun domain -> Cache.allocation c ~domain);
+  }
+
+let ref_model c sink =
+  let c =
+    Cache_ref.create ~sets:c.sets ~ways:c.ways ~line_bits:c.line_bits ~mode:ref_modes.(c.mode) ~domains:c.domains
+  in
+  Cache_ref.set_sink c sink ~track:3;
+  {
+    access = (fun ~domain ~addr -> Cache_ref.access c ~domain ~addr = Cache_ref.Hit);
+    flush = Cache_ref.flush_domain c;
+    rebalance = (fun () -> rebalance_result (fun () -> Cache_ref.rebalance c));
+    stats =
+      (fun domain ->
+        let s = Cache_ref.stats c ~domain in
+        (s.hits, s.misses, s.evicted_by_others));
+    occupancy = (fun domain -> Cache_ref.occupancy c ~domain);
+    fill_ways = (fun domain -> Cache_ref.fill_ways c ~domain);
+    allocation = (fun domain -> Cache_ref.allocation c ~domain);
+  }
+
+let cache_counters = [ "snic_cache_hit_total"; "snic_cache_miss_total"; "snic_cache_fill_total"; "snic_cache_evict_total" ]
+
+let counter sink name =
+  match Obs.registry sink with
+  | None -> 0
+  | Some reg -> Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters reg))
+
+(* What the sink holds after a step: the four counters, the number of
+   events and the newest one. A step emits at most one event, so equal
+   per-step views mean equal event lists. *)
+let sink_view sink =
+  let events = Obs.events sink in
+  let newest =
+    match List.rev events with
+    | [] -> "none"
+    | e :: _ -> Printf.sprintf "%s ts=%d track=%d arg=%d" e.Obs.name e.ts e.track e.arg
+  in
+  Printf.sprintf "%s events=%d newest=%s"
+    (String.concat " " (List.map (fun n -> string_of_int (counter sink n)) cache_counters))
+    (List.length events) newest
+
+(* Run [c.ops] on [m], returning per step what the model reports,
+   followed by [view ()] taken after the step. *)
+let run_model ?(view = fun () -> "") c m =
+  List.map
+    (fun op ->
+      let result =
+        match op with
+        | Access (domain, addr) -> if m.access ~domain ~addr then "Hit" else "Miss"
+        | Flush d ->
+          m.flush d;
+          "flushed"
+        | Rebalance -> ( match m.rebalance () with Ok n -> Printf.sprintf "moved %d" n | Error e -> e)
+      in
+      let per_domain =
+        List.init c.domains (fun d ->
+            let h, mi, e = m.stats d and lo, hi = m.fill_ways d in
+            Printf.sprintf "d%d h=%d m=%d e=%d occ=%d fill=%d-%d alloc=%d" d h mi e (m.occupancy d) lo hi
+              (m.allocation d))
+      in
+      String.concat " | " ((show_op op :: result :: per_domain) @ [ view () ]))
+    c.ops
+
+let run_recorded c make =
+  let sink = Obs.create () in
+  run_model ~view:(fun () -> sink_view sink) c (make c sink)
+
+let first_mismatch a b =
+  let rec go i = function
+    | x :: xs, y :: ys -> if x = y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | [], [] -> None
+    | x :: _, [] -> Some (i, x, "<missing>")
+    | [], y :: _ -> Some (i, "<missing>", y)
+  in
+  go 0 (a, b)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"flat cache = record reference (results, stats, sink), null sink agrees" ~count:400
+    (QCheck.make ~print:show_case gen_case) (fun c ->
+      let report what a b =
+        match first_mismatch a b with
+        | None -> true
+        | Some (i, x, y) -> QCheck.Test.fail_reportf "%s differ at step %d:\n  %s\n  %s" what i x y
+      in
+      let flat = run_recorded c cache_model and reference = run_recorded c ref_model in
+      report "flat vs reference" flat reference
+      && report "null sink vs recording sink" (run_model c (cache_model c Obs.null))
+           (run_model c (cache_model c (Obs.create ()))))
+
+(* ---------- allocation budgets (null sink) ---------- *)
+
+(* Minor words allocated by [n] calls of [f], measured the way
+   test_obs.ml measures the TLB hit path. The two boxed [Gc.minor_words]
+   results add a few words to the total, never one per call. *)
+let minor_words n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  Gc.minor_words () -. before
+
+let test_access_allocates_nothing () =
+  Array.iteri
+    (fun m mode ->
+      let c = Cache.create ~sets:16 ~ways:8 ~line_bits:6 ~mode ~domains:4 in
+      (* Hits, misses, self- and cross-domain evictions: 4 domains
+         alternate between 8 hot lines and 1,024 cold ones in a 128-line
+         cache. *)
+      let touch i =
+        let h = (i * 0x9E3779B1) lsr 11 in
+        let line = if h land 1 = 0 then (h lsr 1) land 7 else (h lsr 1) land 1023 in
+        ignore (Cache.access c ~domain:((h lsr 12) land 3) ~addr:(line * 64))
+      in
+      for i = 1 to 5_000 do
+        touch i
+      done;
+      let words = minor_words 20_000 touch in
+      let s = Cache.stats c ~domain:0 and victim = Cache.stats c ~domain:1 in
+      Alcotest.(check bool)
+        (mode_names.(m) ^ ": the loop hits and misses (and evicts across domains when Shared)")
+        true
+        (s.hits > 0 && s.misses > 0 && (mode <> Cache.Shared || victim.evicted_by_others > 0));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 words per access (%.0f words for 20,000 accesses)" mode_names.(m) words)
+        true (words <= 8.))
+    modes
+
+let test_empty_flush_allocates_nothing () =
+  let c = Cache.create ~sets:4096 ~ways:16 ~line_bits:6 ~mode:Cache.Hard ~domains:16 in
+  for i = 0 to 999 do
+    ignore (Cache.access c ~domain:0 ~addr:(i * 64))
+  done;
+  Cache.flush_domain c 5;
+  let words = minor_words 1_000 (fun _ -> Cache.flush_domain c 5) in
+  Alcotest.(check bool) (Printf.sprintf "0 words per empty flush (%.0f for 1,000)" words) true (words <= 8.);
+  Alcotest.(check int) "domain 0 untouched" 1000 (Cache.occupancy c ~domain:0)
+
+let test_create_budget () =
+  let sets = 4096 and ways = 16 in
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  let c = Cache.create ~sets ~ways ~line_bits:6 ~mode:Cache.Hard ~domains:16 in
+  let after = Gc.quick_stat () in
+  ignore (Sys.opaque_identity c);
+  let minor = after.minor_words -. before.minor_words and major = after.major_words -. before.major_words in
+  let budget = float_of_int ((3 * sets * ways) + 4096) in
+  Alcotest.(check bool)
+    (Printf.sprintf "create 4096x16: %.0f minor + %.0f major words <= 3 per line + 4096 (%.0f)" minor major budget)
+    true
+    (minor +. major <= budget)
+
+(* ---------- domain range checks ---------- *)
+
+let test_bad_domain_rejected () =
+  let c = Cache.create ~sets:4 ~ways:4 ~line_bits:6 ~mode:Cache.Hard ~domains:2 in
+  let bad fn = Invalid_argument ("Cache." ^ fn ^ ": bad domain") in
+  Alcotest.check_raises "flush_domain" (bad "flush_domain") (fun () -> Cache.flush_domain c 2);
+  Alcotest.check_raises "stats" (bad "stats") (fun () -> ignore (Cache.stats c ~domain:(-1)));
+  Alcotest.check_raises "occupancy" (bad "occupancy") (fun () -> ignore (Cache.occupancy c ~domain:2));
+  Alcotest.check_raises "fill_ways" (bad "fill_ways") (fun () -> ignore (Cache.fill_ways c ~domain:(-1)));
+  Alcotest.check_raises "allocation" (bad "allocation") (fun () -> ignore (Cache.allocation c ~domain:2));
+  Alcotest.check_raises "access" (bad "access") (fun () -> ignore (Cache.access c ~domain:2 ~addr:0))
 
 let suite =
   [
     Alcotest.test_case "golden: Cpu_model.run per domain" `Quick test_golden_cpu_model;
     Alcotest.test_case "golden: figure 5a at 64 KB" `Slow test_golden_figure5a;
     Alcotest.test_case "golden: ablation_cache deltas" `Quick test_golden_ablation;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "access allocates nothing" `Quick test_access_allocates_nothing;
+    Alcotest.test_case "empty flush allocates nothing" `Quick test_empty_flush_allocates_nothing;
+    Alcotest.test_case "create: at most 3 words per line" `Quick test_create_budget;
+    Alcotest.test_case "bad domain rejected" `Quick test_bad_domain_rejected;
   ]

@@ -254,6 +254,24 @@ let test_replays_agree_with_imperative_attacks () =
   check_agreement "accel-hijack" Attacks.accel_hijack ~except:[];
   check_agreement "packet-corruption" Attacks.packet_corruption ~except:[ Nicsim.Machine.Bluefield ]
 
+(* The fill patterns come from a cyclic table; they must equal the
+   byte-by-byte formula, including past the table's 16 KB. *)
+let test_fill_patterns () =
+  let old_secret ~slot ~launches ~len =
+    String.init len (fun i -> Char.chr (0x41 + ((i + (slot * 7) + (launches * 13)) mod 26)))
+  in
+  let old_host ~slot ~launches =
+    String.init (16 * 1024) (fun i -> Char.chr (0x61 + ((i + slot + (launches * 5)) mod 26)))
+  in
+  List.iter
+    (fun (slot, launches, len) ->
+      let what = Printf.sprintf "slot=%d launches=%d len=%d" slot launches len in
+      Alcotest.(check string) ("secret " ^ what) (old_secret ~slot ~launches ~len)
+        (Oracle.Harness.secret ~slot ~launches ~len);
+      Alcotest.(check string) ("host pattern " ^ what) (old_host ~slot ~launches)
+        (Oracle.Harness.host_pattern ~slot ~launches))
+    [ (0, 0, 0); (0, 0, 4096); (3, 1, 8192); (7, 25, 16384); (5, 1000, 16383); (2, 9, 16385); (1, 77, 65536) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest op_roundtrip;
@@ -263,6 +281,7 @@ let suite =
     Alcotest.test_case "trace_of_string rejects garbage" `Quick test_trace_of_string_rejects;
     Alcotest.test_case "zero model-mismatch in every mode" `Quick test_no_model_mismatch_any_mode;
     Alcotest.test_case "snic campaigns are clean" `Quick test_snic_clean;
+    Alcotest.test_case "fill patterns = byte-by-byte formula" `Quick test_fill_patterns;
     Alcotest.test_case "commodity modes reproduce their classes" `Quick test_commodity_classes;
     Alcotest.test_case "shrinker minimizes to <= 10 ops" `Quick test_shrinker_minimizes;
     Alcotest.test_case "canonical replays: commodity vs snic" `Quick test_replays_commodity_vs_snic;
