@@ -281,9 +281,9 @@ let suite =
     Alcotest.test_case "trace_of_string rejects garbage" `Quick test_trace_of_string_rejects;
     Alcotest.test_case "zero model-mismatch in every mode" `Quick test_no_model_mismatch_any_mode;
     Alcotest.test_case "snic campaigns are clean" `Quick test_snic_clean;
-    Alcotest.test_case "fill patterns = byte-by-byte formula" `Quick test_fill_patterns;
     Alcotest.test_case "commodity modes reproduce their classes" `Quick test_commodity_classes;
     Alcotest.test_case "shrinker minimizes to <= 10 ops" `Quick test_shrinker_minimizes;
     Alcotest.test_case "canonical replays: commodity vs snic" `Quick test_replays_commodity_vs_snic;
     Alcotest.test_case "replays agree with imperative attacks" `Quick test_replays_agree_with_imperative_attacks;
+    Alcotest.test_case "fill patterns = byte-by-byte formula" `Quick test_fill_patterns;
   ]
