@@ -662,7 +662,13 @@ let vf_cmd =
     let seed = Option.value seed ~default:42 in
     let config = { Vf.Table.default_config with Vf.Table.quantum } in
     let t0 = now () in
-    let r = Vf.Scenario.run ~config ~nics ~vfs ~cycles ~seed () in
+    let r =
+      match Vf.Scenario.run ~config ~nics ~vfs ~cycles ~seed () with
+      | Ok r -> r
+      | Error e ->
+        Printf.eprintf "vf: FAIL %s\n" (Vf.Scenario.error_to_string e);
+        exit 1
+    in
     let secs = now () -. t0 in
     Printf.printf "vf: %d NIC(s) x %d VFs, %d cycles, quantum %d, seed %d\n" nics vfs cycles quantum seed;
     print_string (Vf.Scenario.summary r);

@@ -2,11 +2,22 @@
 
     The S-NIC trusted hardware computes a cumulative SHA-256 measurement of
     a network function's initial state during [nf_launch] (§4.6) and signs
-    it during [nf_attest] (Appendix A). *)
+    it during [nf_attest] (Appendix A).
+
+    Cost: one compression per 64-byte block plus one or two in
+    {!finalize}.  Whole blocks are compressed straight from the caller's
+    bytes; only a partial block is buffered.  Absorbing allocates
+    nothing, and {!finalize} allocates only its 32-byte result. *)
 
 type ctx
 
 val init : unit -> ctx
+
+(** [copy ctx] is an independent context in the same state: absorbing
+    into one does not change the other.  A context that is only ever
+    copied (never fed or finalized again) can be shared read-only across
+    domains; this is how {!Hmac.key} precomputes its key pads. *)
+val copy : ctx -> ctx
 
 (** [feed ctx s] absorbs [s]; may be called repeatedly. *)
 val feed : ctx -> string -> unit
@@ -25,4 +36,5 @@ val finalize : ctx -> string
 (** One-shot digest. *)
 val digest : string -> string
 
+(** Lowercase hex, two digits per byte. *)
 val to_hex : string -> string

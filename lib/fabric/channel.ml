@@ -1,5 +1,5 @@
 type tx = {
-  t_key : string;
+  t_key : Crypto.Hmac.key;
   t_chan : int;
   mutable t_next : int;
   t_cap : int;
@@ -12,7 +12,7 @@ type tx = {
 }
 
 type rx = {
-  r_key : string;
+  r_key : Crypto.Hmac.key;
   r_chan : int;
   r_window : Window.t;
   mutable r_delivered : int;
@@ -35,6 +35,7 @@ let recv_error_to_string = function
 
 let pair ?(sink = Obs.null) ?(window = 32) ?(buffer = 1024) ?(tap = fun _ -> ()) ~key ~chan () =
   if buffer < 0 then invalid_arg "Fabric.Channel.pair: negative buffer capacity";
+  let key = Crypto.Hmac.prepare key in
   ( {
       t_key = key;
       t_chan = chan;

@@ -20,7 +20,8 @@ val recv_error_to_string : recv_error -> string
 
 (** [pair ?sink ?window ?buffer ?tap ~key ~chan ()] builds both halves.
     [window] (default 32) is the receive window size, [buffer] (default
-    1024) the sender's replay-buffer capacity in payloads.  [sink]
+    1024) the sender's replay-buffer capacity in payloads.  The key's
+    HMAC pads are absorbed once here and shared by both halves.  [sink]
     receives the [fabric_*] hot-path counters.  [tap] sees every wire
     frame on send — the scenario's adversary captures traffic there. *)
 val pair :

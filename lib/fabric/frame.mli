@@ -3,7 +3,8 @@
     Every inter-NIC message travels as
     [magic "SNF1" | chan u32 | seq u32 | len u32 | payload | mac], all
     integers big-endian.  The MAC is HMAC-SHA256 over the header and payload under
-    the channel's attestation-derived session key, so a frame only
+    the channel's attestation-derived session key (prepared once with
+    {!Crypto.Hmac.prepare}), so a frame only
     authenticates against the channel it was sent on and the key both
     endpoints derived from their handshakes.  Decoding is strict in the
     [Snic.Wire] tradition: short input, an oversize length field, a bad
@@ -28,13 +29,13 @@ val error_to_string : error -> string
 (** [encode ~key t] serializes and MACs one frame.  Raises
     [Invalid_argument] if [chan] or [seq] is negative or outside u32, or
     the payload exceeds {!max_payload}. *)
-val encode : key:string -> t -> string
+val encode : key:Crypto.Hmac.key -> t -> string
 
 (** [decode ~key s ~pos] parses one frame starting at [pos]; returns the
     frame and the position just past it, so callers can walk a
     concatenated stream. *)
-val decode : key:string -> string -> pos:int -> (t * int, error) result
+val decode : key:Crypto.Hmac.key -> string -> pos:int -> (t * int, error) result
 
 (** [decode_exact ~key s] parses exactly one frame spanning all of [s];
     trailing bytes are a {!Trailing} error. *)
-val decode_exact : key:string -> string -> (t, error) result
+val decode_exact : key:Crypto.Hmac.key -> string -> (t, error) result

@@ -21,9 +21,25 @@ let hash t =
 let reverse t =
   { src_ip = t.dst_ip; dst_ip = t.src_ip; proto = t.proto; src_port = t.dst_port; dst_port = t.src_port }
 
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* ["<src_ip>:<src_port> -> <dst_ip>:<dst_port> /<proto>"], written
+   into one exact-size buffer. *)
 let to_string t =
-  Printf.sprintf "%s:%d -> %s:%d /%d" (Ipv4_addr.to_string t.src_ip) t.src_port (Ipv4_addr.to_string t.dst_ip)
-    t.dst_port t.proto
+  let src = Ipv4_addr.to_string t.src_ip and dst = Ipv4_addr.to_string t.dst_ip in
+  let len =
+    String.length src + 1 + Decimal.width t.src_port + 4 + String.length dst + 1 + Decimal.width t.dst_port + 2
+    + Decimal.width t.proto
+  in
+  let b = Bytes.create len in
+  let pos = put_string b 0 src in
+  let pos = Decimal.put b (put_string b pos ":") t.src_port in
+  let pos = put_string b (put_string b pos " -> ") dst in
+  let pos = Decimal.put b (put_string b pos ":") t.dst_port in
+  ignore (Decimal.put b (put_string b pos " /") t.proto);
+  Bytes.unsafe_to_string b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

@@ -17,8 +17,25 @@ let of_string s =
   end
   | _ -> invalid_arg ("Ipv4_addr.of_string: " ^ s)
 
+let octet t i = (t lsr (8 * (3 - i))) land 0xff
+
+(* Dotted quad: each octet's decimal digits, written into one exact-size
+   buffer. *)
 let to_string t =
-  Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xff) ((t lsr 16) land 0xff) ((t lsr 8) land 0xff) (t land 0xff)
+  let len = ref 3 in
+  for i = 0 to 3 do
+    len := !len + Decimal.width (octet t i)
+  done;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  for i = 0 to 3 do
+    if i > 0 then begin
+      Bytes.set b !pos '.';
+      incr pos
+    end;
+    pos := Decimal.put b !pos (octet t i)
+  done;
+  Bytes.unsafe_to_string b
 
 let in_prefix addr ~prefix ~len =
   if len < 0 || len > 32 then invalid_arg "Ipv4_addr.in_prefix";

@@ -48,9 +48,12 @@ let touch t i = match t.probe with Some probe -> probe ~region:0 ~index:i | None
 let bucket_slot t i s = t.slots.((i * slots_per_bucket) + s)
 let set_slot t i s v = t.slots.((i * slots_per_bucket) + s) <- v
 
-let find_in_bucket t i fp =
-  let rec go s = if s >= slots_per_bucket then -1 else if bucket_slot t i s = fp then s else go (s + 1) in
-  go 0
+(* First slot at or after [s] in bucket [i] holding [fp], or -1.  A
+   top-level loop, so a lookup allocates no closure. *)
+let rec find_from t i fp s =
+  if s >= slots_per_bucket then -1 else if bucket_slot t i s = fp then s else find_from t i fp (s + 1)
+
+let find_in_bucket t i fp = find_from t i fp 0
 
 let free_slot t i = find_in_bucket t i 0
 

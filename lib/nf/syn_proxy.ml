@@ -12,7 +12,7 @@
    and passes through untouched. *)
 
 type t = {
-  key : string;
+  key : Crypto.Hmac.key; (* pads absorbed once, in [create] *)
   filter : Cuckoo.t;
   mutable epoch : int;
   mutable challenges : int; (* SYNs answered with a cookie (and dropped) *)
@@ -23,7 +23,7 @@ type t = {
 
 let create ?probe ?filter_seed ?(fp_bits = 12) ?(log2_buckets = 14) ~key () =
   {
-    key;
+    key = Crypto.Hmac.prepare key;
     filter = Cuckoo.create ?probe ?seed:filter_seed ~fp_bits ~log2_buckets ();
     epoch = 0;
     challenges = 0;
@@ -35,11 +35,9 @@ let create ?probe ?filter_seed ?(fp_bits = 12) ?(log2_buckets = 14) ~key () =
 let cookie_bytes = 8
 
 let cookie_at t ~epoch flow =
-  let msg = Printf.sprintf "%s|%d" (Net.Five_tuple.to_string flow) epoch in
-  let tag = Crypto.Hmac.mac ~key:t.key msg in
-  let b = Buffer.create (2 * cookie_bytes) in
-  String.iteri (fun i c -> if i < cookie_bytes then Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) tag;
-  Buffer.contents b
+  let msg = Net.Five_tuple.to_string flow ^ "|" ^ string_of_int epoch in
+  let tag = Crypto.Hmac.mac_sub ~key:t.key (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String.length msg) in
+  Crypto.Sha256.to_hex (String.sub tag 0 cookie_bytes)
 
 let cookie t flow = cookie_at t ~epoch:t.epoch flow
 
@@ -49,8 +47,9 @@ let validate t flow hex = String.equal hex (cookie t flow) || String.equal hex (
 
 let advance_epoch t = t.epoch <- t.epoch + 1
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.equal (String.sub s 0 (String.length prefix)) prefix
+(* [prefix] is a prefix of [s], compared in place. *)
+let rec prefix_from ~prefix s i = i = String.length prefix || (prefix.[i] = s.[i] && prefix_from ~prefix s (i + 1))
+let has_prefix ~prefix s = String.length s >= String.length prefix && prefix_from ~prefix s 0
 
 let syn_payload = "SYN"
 let ack_prefix = "ACK:"
@@ -64,7 +63,7 @@ let process t pkt =
   | Net.Packet.Tcp ->
     let flow = Net.Packet.flow pkt in
     let payload = pkt.Net.Packet.payload in
-    if has_prefix ~prefix:syn_payload payload && String.length payload <= String.length syn_payload then begin
+    if String.equal payload syn_payload then begin
       (* Stateless challenge: answer with the cookie, keep nothing. *)
       t.challenges <- t.challenges + 1;
       Types.Drop ("syn-cookie-challenge:" ^ cookie t flow)

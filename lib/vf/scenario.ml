@@ -32,6 +32,19 @@ type result = {
   max_rel_err : float;
 }
 
+type error =
+  | Attach_failed of { nic : int; vf : int; reason : string }
+  | Doorbell_failed of { nic : int; vf : int; fault : Machine.fault }
+
+let error_to_string = function
+  | Attach_failed { nic; vf; reason } -> Printf.sprintf "nic %d vf %d: attach failed: %s" nic vf reason
+  | Doorbell_failed { nic; vf; fault } ->
+    Printf.sprintf "nic %d vf %d: doorbell failed: %s" nic vf (Machine.fault_to_string fault)
+
+(* Raised by [drive_nic] on the first VF it cannot bring up; [run_nic]
+   and [run] turn it into their [Error]. *)
+exception Bring_up of error
+
 let prefill_depth = 16
 
 (* 64..1023-byte frames: the max frame stays below the stage-1 quantum,
@@ -50,12 +63,12 @@ let drive_nic ~sink ~config ~nic ~cycles ~seed ~vnics =
     (fun vf (nf, weight) ->
       (match Table.attach table ~vf ~nf ~weight with
       | Ok _ -> ()
-      | Error e -> failwith ("Vf.Scenario: attach failed: " ^ e));
+      | Error reason -> raise (Bring_up (Attach_failed { nic; vf; reason })));
       (* Ring the doorbell once as the owner, like a driver kicking its
          freshly initialized queue. *)
       match Table.doorbell table ~principal:(Machine.Nf_code nf) ~vf ~value:(vf + 1) with
       | Ok () -> ()
-      | Error f -> failwith ("Vf.Scenario: doorbell failed: " ^ Machine.fault_to_string f))
+      | Error fault -> raise (Bring_up (Doorbell_failed { nic; vf; fault })))
     vnics;
   let submit vf =
     ignore (Table.tx_submit table ~vf ~flow:(Trace.Rng.int rng 8) ~bytes:(frame_bytes rng) : bool)
@@ -123,7 +136,9 @@ let default_vnics ~nic ~vfs =
   List.init vfs (fun vf -> ((nic * 10000) + vf + 1, weight_cycle.(vf mod 4)))
 
 let run_nic ?(sink = Obs.null) ~nic ~cycles ~seed ~vnics () =
-  drive_nic ~sink ~config:Table.default_config ~nic ~cycles ~seed ~vnics
+  match drive_nic ~sink ~config:Table.default_config ~nic ~cycles ~seed ~vnics with
+  | r -> Ok r
+  | exception Bring_up e -> Error e
 
 let aggregate results =
   let total_pkts = List.fold_left (fun a r -> a + r.scheduled_pkts) 0 results in
@@ -140,8 +155,9 @@ let aggregate results =
 let run ?(sink = Obs.null) ?(config = Table.default_config) ~nics ~vfs ~cycles ~seed () =
   if nics < 1 then invalid_arg "Vf.Scenario.run: nics must be >= 1";
   if vfs < 1 then invalid_arg "Vf.Scenario.run: vfs must be >= 1";
-  aggregate
-    (List.init nics (fun nic -> drive_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs)))
+  match List.init nics (fun nic -> drive_nic ~sink ~config ~nic ~cycles ~seed ~vnics:(default_vnics ~nic ~vfs)) with
+  | results -> Ok (aggregate results)
+  | exception Bring_up e -> Error e
 
 let check ?(min_jain = 0.95) ?(max_err_pct = 5.0) r =
   let err_pct = 100. *. r.max_rel_err in

@@ -29,6 +29,16 @@ type result = {
   max_rel_err : float;  (** worst per-NIC share error vs weights *)
 }
 
+(** Why a NIC could not be brought up: attaching a VF (the table's
+    reason, e.g. no NIC memory left for its window) or ringing its first
+    doorbell as the owner (the machine's fault) failed.  The run stops at
+    the first such VF. *)
+type error =
+  | Attach_failed of { nic : int; vf : int; reason : string }
+  | Doorbell_failed of { nic : int; vf : int; fault : Nicsim.Machine.fault }
+
+val error_to_string : error -> string
+
 val run_nic :
   ?sink:Obs.sink ->
   nic:int ->
@@ -36,10 +46,10 @@ val run_nic :
   seed:int ->
   vnics:(int * int) list ->
   unit ->
-  nic_result
+  (nic_result, error) Stdlib.result
 (** Drive one NIC, with the default table config, whose VF slot [i]
     hosts the [i]-th [(nf, weight)] of [vnics].  Raises [Invalid_argument] on [cycles < 1] or an empty
-    vNIC list. *)
+    vNIC list (and, from [Vf.Table.attach], on a weight below 1). *)
 
 val aggregate : nic_result list -> result
 (** Totals and the worst per-NIC fairness over already-driven NICs. *)
@@ -52,9 +62,10 @@ val run :
   cycles:int ->
   seed:int ->
   unit ->
-  result
+  (result, error) Stdlib.result
 (** [nics] independent NICs, each fully populated: [vfs] tenants with
-    weights cycling 1, 2, 4, 8 down the VF ids. *)
+    weights cycling 1, 2, 4, 8 down the VF ids.  The first NIC that
+    cannot be brought up ends the run with its {!error}. *)
 
 val check : ?min_jain:float -> ?max_err_pct:float -> result -> string list
 (** The fairness gates, one message per failed gate ([[]] on a pass):

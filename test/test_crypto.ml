@@ -139,7 +139,7 @@ let prop_hmac_sub_in_place =
       let pos = a mod (String.length s + 1) in
       let len = b mod (String.length s - pos + 1) in
       String.equal
-        (Crypto.Hmac.mac_sub ~key (Bytes.of_string s) ~pos ~len)
+        (Crypto.Hmac.mac_sub ~key:(Crypto.Hmac.prepare key) (Bytes.of_string s) ~pos ~len)
         (Crypto.Hmac.mac ~key (String.sub s pos len)))
 
 let suite =
@@ -205,4 +205,124 @@ let suite =
       Alcotest.test_case "rsa cross-key rejection" `Slow test_rsa_cross_key_rejection;
       QCheck_alcotest.to_alcotest prop_sha256_distinct;
       QCheck_alcotest.to_alcotest prop_sha256_incremental_eq;
+    ]
+
+(* ---------- Keyed HMAC state and the fast compression function ----------
+   Sha256_ref and Hmac_ref are the implementations these replaced, kept
+   verbatim under test/; every property below compares against them. *)
+
+let hex = Crypto.Sha256.to_hex
+
+let test_hmac_rfc4231_more () =
+  let check name key msg want =
+    Alcotest.(check string) (name ^ " (keyed)") want (hex (Crypto.Hmac.mac ~key msg));
+    Alcotest.(check string) (name ^ " (reference)") want (hex (Hmac_ref.mac ~key msg))
+  in
+  check "rfc4231 tc3" (String.make 20 '\xaa') (String.make 50 '\xdd')
+    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe";
+  check "rfc4231 tc4"
+    (String.init 25 (fun i -> Char.chr (i + 1)))
+    (String.make 50 '\xcd') "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b";
+  (* Cases 6 and 7: a 131-byte key, longer than the block, is hashed first. *)
+  check "rfc4231 tc6" (String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+  check "rfc4231 tc7" (String.make 131 '\xaa')
+    "This is a test using a larger than block-size key and a larger than block-size data. The key needs to be \
+     hashed before being used by the HMAC algorithm."
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+
+let test_sha256_million_a () =
+  let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" in
+  Alcotest.(check string) "one-shot" want (hex (Crypto.Sha256.digest (String.make 1_000_000 'a')));
+  (* The same input fed in odd-sized pieces, so most blocks straddle a feed. *)
+  let ctx = Crypto.Sha256.init () in
+  let piece = String.make 997 'a' in
+  let left = ref 1_000_000 in
+  while !left > 0 do
+    let n = min !left 997 in
+    Crypto.Sha256.feed_sub ctx (Bytes.unsafe_of_string piece) ~pos:0 ~len:n;
+    left := !left - n
+  done;
+  Alcotest.(check string) "997-byte feeds" want (hex (Crypto.Sha256.finalize ctx))
+
+(* Cut [s] at up to four points (taken modulo its length, then sorted). *)
+let pieces s cuts =
+  let n = String.length s in
+  let cuts = List.sort compare (List.map (fun c -> if n = 0 then 0 else c mod (n + 1)) cuts) in
+  let rec go pos = function
+    | [] -> [ String.sub s pos (n - pos) ]
+    | c :: rest -> String.sub s pos (c - pos) :: go c rest
+  in
+  go 0 cuts
+
+let prop_sha256_matches_reference =
+  QCheck.Test.make ~name:"sha256 = reference at 0-1000 B, any split" ~count:300
+    (QCheck.pair
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 1000))
+       (QCheck.list_of_size (QCheck.Gen.int_range 0 4) QCheck.small_nat))
+    (fun (s, cuts) ->
+      let want = Sha256_ref.digest s in
+      let ctx = Crypto.Sha256.init () in
+      (* Each piece is fed from the middle of a larger buffer, so whole
+         blocks are compressed at unaligned source offsets. *)
+      List.iter
+        (fun p ->
+          let b = Bytes.of_string ("<<<" ^ p ^ ">>") in
+          Crypto.Sha256.feed_sub ctx b ~pos:3 ~len:(String.length p))
+        (pieces s cuts);
+      String.equal (Crypto.Sha256.finalize ctx) want && String.equal (Crypto.Sha256.digest s) want)
+
+let prop_sha256_copy_independent =
+  QCheck.Test.make ~name:"sha256 copy forks an independent state" ~count:200
+    (QCheck.triple
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 200))
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 200))
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 200)))
+    (fun (prefix, x, y) ->
+      let ctx = Crypto.Sha256.init () in
+      Crypto.Sha256.feed ctx prefix;
+      let fork = Crypto.Sha256.copy ctx in
+      Crypto.Sha256.feed ctx x;
+      Crypto.Sha256.feed fork y;
+      let dx = Crypto.Sha256.finalize ctx and dy = Crypto.Sha256.finalize fork in
+      String.equal dx (Sha256_ref.digest (prefix ^ x)) && String.equal dy (Sha256_ref.digest (prefix ^ y)))
+
+let prop_hmac_matches_reference =
+  QCheck.Test.make ~name:"hmac = reference, keys 0-200 B, messages 0-2000 B" ~count:300
+    (QCheck.pair
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 200))
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 2000)))
+    (fun (key, msg) ->
+      let want = Hmac_ref.mac ~key msg in
+      String.equal (Crypto.Hmac.mac ~key msg) want
+      && String.equal
+           (Crypto.Hmac.mac_sub ~key:(Crypto.Hmac.prepare key) (Bytes.of_string msg) ~pos:0 ~len:(String.length msg))
+           want)
+
+let prop_hmac_key_reuse =
+  QCheck.Test.make ~name:"hmac: one prepared key reused, interleaved with a second" ~count:100
+    (QCheck.triple
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 130))
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 130))
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 20)
+          (QCheck.pair QCheck.bool (QCheck.string_of_size (QCheck.Gen.int_range 0 300)))))
+    (fun (k1, k2, msgs) ->
+      let p1 = Crypto.Hmac.prepare k1 and p2 = Crypto.Hmac.prepare k2 in
+      List.for_all
+        (fun (first, msg) ->
+          let key, prep = if first then (k1, p1) else (k2, p2) in
+          String.equal
+            (Crypto.Hmac.mac_sub ~key:prep (Bytes.of_string msg) ~pos:0 ~len:(String.length msg))
+            (Hmac_ref.mac ~key msg))
+        (msgs @ msgs))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "hmac rfc4231 cases 3, 4, 6, 7" `Quick test_hmac_rfc4231_more;
+      Alcotest.test_case "sha256 one million a's" `Quick test_sha256_million_a;
+      QCheck_alcotest.to_alcotest prop_sha256_matches_reference;
+      QCheck_alcotest.to_alcotest prop_sha256_copy_independent;
+      QCheck_alcotest.to_alcotest prop_hmac_matches_reference;
+      QCheck_alcotest.to_alcotest prop_hmac_key_reuse;
     ]

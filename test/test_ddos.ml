@@ -171,6 +171,34 @@ let test_proxy_memory_flat () =
     (distinct_tuples 1000);
   Alcotest.(check int) "memory flat after 1000 handshakes" m0 (Nf.Syn_proxy.memory_bytes p)
 
+(* Allocation budget of the proxy's per-frame path, with nothing
+   recording (the null-sink [Gc.minor_words] technique of test_obs.ml).
+   Frames are built before the measurement; what is counted is the
+   proxy's own work: the flow key, the cookie (message, keyed HMAC, hex)
+   and the verdict for a SYN; the flow key and the verdict for data of
+   a whitelisted flow. *)
+let words_per_frame nf frames =
+  Array.iter (fun f -> ignore (nf.Nf.Types.process f)) frames;
+  let before = Gc.minor_words () in
+  Array.iter (fun f -> ignore (nf.Nf.Types.process f)) frames;
+  (Gc.minor_words () -. before) /. float_of_int (Array.length frames)
+
+let test_proxy_syn_allocation () =
+  let nf = Nf.Syn_proxy.nf (proxy ()) in
+  let syns = Array.of_list (List.map (fun f -> pkt f Nf.Syn_proxy.syn_payload) (distinct_tuples 2000)) in
+  let w = words_per_frame nf syns in
+  Alcotest.(check bool) (Printf.sprintf "challenged SYN: %.1f words (budget 150)" w) true (w <= 150.)
+
+let test_proxy_data_allocation () =
+  let p = proxy () in
+  let nf = Nf.Syn_proxy.nf p in
+  let flows = distinct_tuples 50 in
+  List.iter (fun f -> ignore (nf.Nf.Types.process (pkt f (Nf.Syn_proxy.ack_payload p f)))) flows;
+  let data = Array.of_list (List.concat_map (fun f -> List.init 40 (fun _ -> pkt f "payload")) flows) in
+  let w = words_per_frame nf data in
+  Alcotest.(check int) "every data frame forwarded" 0 (Nf.Syn_proxy.no_handshake p);
+  Alcotest.(check bool) (Printf.sprintf "whitelisted data: %.2f words (budget 9)" w) true (w <= 9.)
+
 (* ---------- Registry ---------- *)
 
 let test_registry_ddos_pair () =
@@ -373,4 +401,6 @@ let suite =
     Alcotest.test_case "run_ddos obs counters" `Quick test_run_ddos_counters;
     Alcotest.test_case "run_ddos validation" `Quick test_run_ddos_validation;
     Alcotest.test_case "ddos_check gates" `Quick test_ddos_check_gates;
+    Alcotest.test_case "proxy SYN allocation budget" `Quick test_proxy_syn_allocation;
+    Alcotest.test_case "proxy data allocation budget" `Quick test_proxy_data_allocation;
   ]

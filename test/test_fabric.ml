@@ -11,6 +11,10 @@ let key_of_seed seed = String.init 32 (fun i -> Char.chr ((i * 7) + seed land 0x
 let key_a = key_of_seed 1
 let key_b = key_of_seed 2
 
+(* The codec takes the keyed HMAC state, prepared once per key. *)
+let prep_a = Crypto.Hmac.prepare key_a
+let prep_b = Crypto.Hmac.prepare key_b
+
 (* ---------- Frame codec ---------- *)
 
 let frame_gen =
@@ -28,21 +32,21 @@ let frame_arb =
 
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame: encode/decode_exact round trip" ~count:300 frame_arb (fun f ->
-      match Fabric.Frame.decode_exact ~key:key_a (Fabric.Frame.encode ~key:key_a f) with
+      match Fabric.Frame.decode_exact ~key:prep_a (Fabric.Frame.encode ~key:prep_a f) with
       | Ok f' -> f' = f
       | Error _ -> false)
 
 let prop_frame_garbage =
   QCheck.Test.make ~name:"frame: garbage never parses" ~count:300
     QCheck.(string_of_size Gen.(int_range 0 120))
-    (fun s -> Result.is_error (Fabric.Frame.decode_exact ~key:key_a s))
+    (fun s -> Result.is_error (Fabric.Frame.decode_exact ~key:prep_a s))
 
 let prop_frame_truncation =
   QCheck.Test.make ~name:"frame: every strict prefix is rejected" ~count:60 frame_arb (fun f ->
-      let wire = Fabric.Frame.encode ~key:key_a f in
+      let wire = Fabric.Frame.encode ~key:prep_a f in
       let ok = ref true in
       for cut = 0 to String.length wire - 1 do
-        if Result.is_ok (Fabric.Frame.decode_exact ~key:key_a (String.sub wire 0 cut)) then ok := false
+        if Result.is_ok (Fabric.Frame.decode_exact ~key:prep_a (String.sub wire 0 cut)) then ok := false
       done;
       !ok)
 
@@ -50,24 +54,24 @@ let prop_frame_bitflip =
   QCheck.Test.make ~name:"frame: any single-bit flip fails" ~count:150
     QCheck.(pair frame_arb (pair small_nat (int_bound 7)))
     (fun (f, (byte_idx, bit)) ->
-      let wire = Bytes.of_string (Fabric.Frame.encode ~key:key_a f) in
+      let wire = Bytes.of_string (Fabric.Frame.encode ~key:prep_a f) in
       let i = byte_idx mod Bytes.length wire in
       Bytes.set wire i (Char.chr (Char.code (Bytes.get wire i) lxor (1 lsl bit)));
-      Result.is_error (Fabric.Frame.decode_exact ~key:key_a (Bytes.to_string wire)))
+      Result.is_error (Fabric.Frame.decode_exact ~key:prep_a (Bytes.to_string wire)))
 
 let test_frame_trailing () =
-  let wire = Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 1; seq = 2; payload = "p" } in
-  (match Fabric.Frame.decode_exact ~key:key_a (wire ^ "xyz") with
+  let wire = Fabric.Frame.encode ~key:prep_a { Fabric.Frame.chan = 1; seq = 2; payload = "p" } in
+  (match Fabric.Frame.decode_exact ~key:prep_a (wire ^ "xyz") with
   | Error (Fabric.Frame.Trailing 3) -> ()
   | Error e -> Alcotest.fail ("expected Trailing 3, got " ^ Fabric.Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  match Fabric.Frame.decode_exact ~key:key_a ("XNF1" ^ String.sub wire 4 (String.length wire - 4)) with
+  match Fabric.Frame.decode_exact ~key:prep_a ("XNF1" ^ String.sub wire 4 (String.length wire - 4)) with
   | Error Fabric.Frame.Bad_magic -> ()
   | _ -> Alcotest.fail "bad magic accepted"
 
 let test_frame_wrong_key () =
-  let wire = Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 3; seq = 9; payload = "secret" } in
-  match Fabric.Frame.decode_exact ~key:key_b wire with
+  let wire = Fabric.Frame.encode ~key:prep_a { Fabric.Frame.chan = 3; seq = 9; payload = "secret" } in
+  match Fabric.Frame.decode_exact ~key:prep_b wire with
   | Error Fabric.Frame.Bad_mac -> ()
   | Error e -> Alcotest.fail ("expected Bad_mac, got " ^ Fabric.Frame.error_to_string e)
   | Ok _ -> Alcotest.fail "frame authenticated under the wrong key"
@@ -76,11 +80,11 @@ let test_frame_concat_walk () =
   let frames =
     List.init 3 (fun i -> { Fabric.Frame.chan = 7; seq = i; payload = String.make (i + 1) (Char.chr (0x61 + i)) })
   in
-  let stream = String.concat "" (List.map (Fabric.Frame.encode ~key:key_a) frames) in
+  let stream = String.concat "" (List.map (Fabric.Frame.encode ~key:prep_a) frames) in
   let rec walk pos acc =
     if pos = String.length stream then List.rev acc
     else
-      match Fabric.Frame.decode ~key:key_a stream ~pos with
+      match Fabric.Frame.decode ~key:prep_a stream ~pos with
       | Ok (f, next) -> walk next (f :: acc)
       | Error e -> Alcotest.fail ("walk failed: " ^ Fabric.Frame.error_to_string e)
   in
@@ -89,16 +93,16 @@ let test_frame_concat_walk () =
 let test_frame_validation () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool) "negative chan refused" true
-    (raises (fun () -> Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = -1; seq = 0; payload = "" }));
+    (raises (fun () -> Fabric.Frame.encode ~key:prep_a { Fabric.Frame.chan = -1; seq = 0; payload = "" }));
   Alcotest.(check bool) "negative seq refused" true
-    (raises (fun () -> Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 0; seq = -1; payload = "" }));
+    (raises (fun () -> Fabric.Frame.encode ~key:prep_a { Fabric.Frame.chan = 0; seq = -1; payload = "" }));
   Alcotest.(check bool) "oversize payload refused" true
     (raises (fun () ->
-         Fabric.Frame.encode ~key:key_a
+         Fabric.Frame.encode ~key:prep_a
            { Fabric.Frame.chan = 0; seq = 0; payload = String.make (Fabric.Frame.max_payload + 1) 'x' }));
   match
-    Fabric.Frame.decode_exact ~key:key_a
-      (Fabric.Frame.encode ~key:key_a { Fabric.Frame.chan = 0; seq = 0; payload = String.make Fabric.Frame.max_payload 'x' })
+    Fabric.Frame.decode_exact ~key:prep_a
+      (Fabric.Frame.encode ~key:prep_a { Fabric.Frame.chan = 0; seq = 0; payload = String.make Fabric.Frame.max_payload 'x' })
   with
   | Ok f -> Alcotest.(check int) "max payload round trips" Fabric.Frame.max_payload (String.length f.Fabric.Frame.payload)
   | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e)
@@ -235,7 +239,7 @@ let test_channel_buffer_and_tap () =
   Alcotest.(check int) "tap saw every wire frame" 5 (List.length !taps);
   List.iter
     (fun w ->
-      match Fabric.Frame.decode_exact ~key:key_a w with
+      match Fabric.Frame.decode_exact ~key:prep_a w with
       | Ok f -> Alcotest.(check int) "tapped frame on chan 4" 4 f.Fabric.Frame.chan
       | Error e -> Alcotest.fail (Fabric.Frame.error_to_string e))
     !taps;

@@ -253,3 +253,24 @@ let suite =
       QCheck_alcotest.to_alcotest prop_five_tuple_hash_stable;
       Alcotest.test_case "five-tuple hash pinned" `Quick test_five_tuple_hash_pinned;
     ]
+
+(* The Printf formulas [Ipv4_addr.to_string] and [Five_tuple.to_string]
+   used before they wrote into one buffer; every byte must still match.
+   Ports and protocol range over all ints, negative and huge included. *)
+let printf_ipv4 t =
+  Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xff) ((t lsr 16) land 0xff) ((t lsr 8) land 0xff) (t land 0xff)
+
+let printf_five_tuple (t : Net.Five_tuple.t) =
+  Printf.sprintf "%s:%d -> %s:%d /%d" (printf_ipv4 t.src_ip) t.src_port (printf_ipv4 t.dst_ip) t.dst_port t.proto
+
+let any_port = QCheck.oneof [ QCheck.int_bound 0xFFFF; QCheck.int; QCheck.oneofl [ 0; 9; 10; 99; 100; min_int; max_int ] ]
+
+let prop_to_string_matches_printf =
+  QCheck.Test.make ~name:"ipv4/five-tuple to_string = the Printf formula" ~count:500
+    QCheck.(pair (pair int int) (triple any_port any_port any_port))
+    (fun ((src_ip, dst_ip), (src_port, dst_port, proto)) ->
+      let f = Net.Five_tuple.make ~src_ip ~dst_ip ~proto ~src_port ~dst_port in
+      String.equal (Net.Ipv4_addr.to_string src_ip) (printf_ipv4 src_ip)
+      && String.equal (Net.Five_tuple.to_string f) (printf_five_tuple f))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_to_string_matches_printf ]

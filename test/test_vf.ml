@@ -258,8 +258,13 @@ let test_node_vf_accounting () =
 
 (* ---- scenario driver ---------------------------------------------- *)
 
+let scenario ~nics ~vfs ~cycles ~seed =
+  match Vf.Scenario.run ~nics ~vfs ~cycles ~seed () with
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Vf.Scenario.error_to_string e)
+
 let test_scenario_deterministic () =
-  let go () = Vf.Scenario.run ~nics:2 ~vfs:16 ~cycles:8 ~seed:7 () in
+  let go () = scenario ~nics:2 ~vfs:16 ~cycles:8 ~seed:7 in
   let a = go () and b = go () in
   Alcotest.(check string) "summaries byte-identical" (Vf.Scenario.summary a) (Vf.Scenario.summary b);
   Alcotest.(check int) "pkts equal" a.Vf.Scenario.total_pkts b.Vf.Scenario.total_pkts;
@@ -269,14 +274,14 @@ let test_scenario_deterministic () =
 let test_scenario_weighted_shares_converge () =
   (* 32 rotations bound the stage-1 quantization error well under the
      5% acceptance bar (error ~ 1/cycles). *)
-  let r = Vf.Scenario.run ~nics:1 ~vfs:32 ~cycles:32 ~seed:42 () in
+  let r = scenario ~nics:1 ~vfs:32 ~cycles:32 ~seed:42 in
   Alcotest.(check bool) "shares within 5% of weights" true (r.Vf.Scenario.max_rel_err <= 0.05);
   Alcotest.(check bool) "jain above the gate floor" true (r.Vf.Scenario.jain_min >= 0.95)
 
 (* A clean run passes the fairness gates; a copy with one field pushed
    past its gate fails exactly that gate. *)
 let test_scenario_check_gates () =
-  let r = Vf.Scenario.run ~nics:1 ~vfs:8 ~cycles:16 ~seed:42 () in
+  let r = scenario ~nics:1 ~vfs:8 ~cycles:16 ~seed:42 in
   let check ?min_jain ?max_err_pct name want r' =
     Alcotest.(check (list string)) name want (Vf.Scenario.check ?min_jain ?max_err_pct r')
   in
@@ -306,3 +311,24 @@ let suite =
     Alcotest.test_case "scenario check gates" `Quick test_scenario_check_gates;
     Alcotest.test_case "scenario weighted shares converge" `Slow test_scenario_weighted_shares_converge;
   ]
+
+(* A NIC that cannot be brought up is a typed [Error], not an
+   exception: the allocator holds 4096 windows, so VF 4096 cannot attach.
+   The doorbell case is unreachable from scenario inputs (every window is
+   owned by the NF that rings it), so only its message is pinned. *)
+let test_scenario_bring_up_errors () =
+  let out_of_windows nic = function
+    | Error (Vf.Scenario.Attach_failed { nic = n; vf = 4096; reason = "out of NIC memory for the VF window" }) ->
+      Alcotest.(check int) "failing NIC reported" nic n
+    | Error e -> Alcotest.fail ("wrong error: " ^ Vf.Scenario.error_to_string e)
+    | Ok _ -> Alcotest.fail "4097 VFs must not fit"
+  in
+  out_of_windows 3 (Vf.Scenario.run_nic ~nic:3 ~cycles:1 ~seed:1 ~vnics:(List.init 4097 (fun i -> (i + 1, 1))) ());
+  out_of_windows 0 (Vf.Scenario.run ~nics:2 ~vfs:4097 ~cycles:1 ~seed:1 ());
+  Alcotest.(check string) "attach message" "nic 3 vf 4096: attach failed: out of NIC memory for the VF window"
+    (Vf.Scenario.error_to_string
+       (Vf.Scenario.Attach_failed { nic = 3; vf = 4096; reason = "out of NIC memory for the VF window" }));
+  Alcotest.(check string) "doorbell message" "nic 1 vf 2: doorbell failed: TLB fault at vaddr 0x10"
+    (Vf.Scenario.error_to_string (Vf.Scenario.Doorbell_failed { nic = 1; vf = 2; fault = Nicsim.Machine.Tlb_fault 0x10 }))
+
+let suite = suite @ [ Alcotest.test_case "scenario bring-up errors" `Quick test_scenario_bring_up_errors ]
